@@ -69,7 +69,12 @@ def cmd_compute(args, parser):
     entry = Path(args.out) / config.key()
     if (entry / "meta.json").exists() and not args.force:
         print(f"archive: {entry} (cached; --force recomputes)")
-        return 0
+        meta = json.loads((entry / "meta.json").read_text(encoding="utf-8"))
+        stored = [kl_mod.CheckReport(r["name"], r["checked"], r["violations"])
+                  for r in meta["reports"].values()]
+        for rep in stored:
+            print(f"check {rep}")
+        return 0 if all(rep.ok for rep in stored) else 1
     progress = None
     if args.verbose:
         progress = lambda ln, u: print(f"  length {ln} (element {u})",

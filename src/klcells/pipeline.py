@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import shutil
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -30,6 +32,8 @@ _TABLE_FOR_TYPE = {
     "A1": "a1", "A2": "a2", "A3": "a3", "B3": "b3", "B4": "b4", "F4": "f4",
     "I2:4": "i2_4", "I2:6": "i2_6", "I2:8": "i2_8",
 }
+
+CHECKS = ("lemmas", "bounds", "bar", "L", "oracle")
 
 
 @dataclass
@@ -47,6 +51,10 @@ class RunConfig:
     def __post_init__(self):
         if (self.weight is None) == (self.order_functionals is None):
             raise ValueError("specify exactly one of weight / order functionals")
+        unknown = sorted(set(self.checks) - set(CHECKS))
+        if unknown:
+            raise ValueError(f"unknown check(s) {', '.join(map(repr, unknown))}"
+                             f"; choose from {','.join(CHECKS)}")
         if self.weight is not None:
             self.weight = tuple(int(x) for x in self.weight)
         else:
@@ -219,44 +227,91 @@ def _dump_json(path, obj):
 
 
 def write_archive(result, outdir):
-    """Write all dumps for a run; returns the archive directory."""
+    """Write all dumps for a run; returns the archive directory.
+
+    The entry is built in a temporary sibling directory, ``meta.json``
+    last, and renamed into place only when complete, so an interrupted
+    run leaves no entry and an existing entry is replaced whole.
+    """
+    root = Path(outdir)
+    key = result.config.key()
+    entry = root / key
+    tmp = root / f".{key}.{os.getpid()}.tmp"
+    old = root / f".{key}.{os.getpid()}.old"
+    root.mkdir(parents=True, exist_ok=True)
+    for stale in (tmp, old):
+        if stale.exists():
+            shutil.rmtree(stale)
+    tmp.mkdir()
+    try:
+        _write_entry(result, tmp)
+    except BaseException:
+        shutil.rmtree(tmp)
+        raise
+    if entry.exists():
+        entry.rename(old)
+    tmp.rename(entry)
+    if old.exists():
+        shutil.rmtree(old)
+    return entry
+
+
+def _write_tables(outdir, sys, data):
+    """Stream the P* and M tables as TSV and JSON, one pass per table.
+
+    Each element's word and each distinct polynomial are rendered once.
+    The JSON files hold exactly what ``json.dump(rows, indent=1,
+    sort_keys=True)`` would write for the row objects: a polynomial's
+    fragment comes from ``json.dumps(indent=1)`` re-indented to its
+    depth, and only the row framing is literal text.
+    """
+    space, order = data.space, data.order
+    words = [sys.word_text(w) for w in range(sys.size)]
+    quoted = [json.dumps(t) for t in words]
+    rendered = {}
+
+    def render(p):
+        key = frozenset(p.items())
+        out = rendered.get(key)
+        if out is None:
+            frag = json.dumps(poly_json(space, p, order), indent=1,
+                              sort_keys=True)
+            out = rendered[key] = (poly_text(space, p, order),
+                                   frag.replace("\n", "\n  "))
+        return out
+
+    _stream_table(outdir, "ptable", (
+        (f"{words[y]}\t{words[w]}",
+         f'\n  "w": {quoted[w]},\n  "y": {quoted[y]}', render(row[y]))
+        for w, row in enumerate(data.rows) for y in sorted(row)))
+    _stream_table(outdir, "mutable", (
+        (f"{s + 1}\t{words[y]}\t{words[w]}",
+         f'\n  "s": {s + 1},\n  "w": {quoted[w]},\n  "y": {quoted[y]}',
+         render(data.mu[s, y, w]))
+        for s, y, w in sorted(data.mu)))
+
+
+def _stream_table(outdir, name, rows):
+    """Write ``<name>.tsv`` and ``<name>.json`` from (columns, fields,
+    (poly text, poly JSON fragment)) rows; ``fields`` are the JSON keys
+    after ``"poly"``, already rendered."""
+    with open(outdir / f"{name}.tsv", "w", encoding="utf-8") as tsv, \
+            open(outdir / f"{name}.json", "w", encoding="utf-8") as js:
+        sep = "[\n"
+        for cols, fields, (text, frag) in rows:
+            tsv.write(f"{cols}\t{text}\n")
+            js.write(f'{sep} {{\n  "poly": {frag},{fields}\n }}')
+            sep = ",\n"
+        js.write("[]\n" if sep == "[\n" else "\n]\n")
+
+
+def _write_entry(result, outdir):
     config = result.config
     sys = result.sys
     data = result.kl
     space = data.space
-    order = data.order
-    outdir = Path(outdir) / config.key()
-    outdir.mkdir(parents=True, exist_ok=True)
 
-    _dump_json(outdir / "meta.json", {
-        "config": config.canonical(),
-        "key": config.key(),
-        "system": sys.summary(),
-        "reports": {k: {"name": r.name, "checked": r.checked,
-                        "violations": [repr(v) for v in r.violations],
-                        "notes": {n: repr(v) for n, v in r.notes.items()}}
-                    for k, r in sorted(result.reports.items())},
-    })
-
-    with open(outdir / "ptable.tsv", "w", encoding="utf-8") as fh:
-        for w in range(sys.size):
-            for y in sorted(data.rows[w]):
-                fh.write(f"{sys.word_text(y)}\t{sys.word_text(w)}\t"
-                         f"{poly_text(space, data.rows[w][y], order)}\n")
-    with open(outdir / "mutable.tsv", "w", encoding="utf-8") as fh:
-        for (s, y, w) in sorted(data.mu):
-            fh.write(f"{s + 1}\t{sys.word_text(y)}\t{sys.word_text(w)}\t"
-                     f"{poly_text(space, data.mu[(s, y, w)], order)}\n")
-    _dump_json(outdir / "ptable.json", [
-        {"y": sys.word_text(y), "w": sys.word_text(w),
-         "poly": poly_json(space, data.rows[w][y], order)}
-        for w in range(sys.size) for y in sorted(data.rows[w])
-    ])
-    _dump_json(outdir / "mutable.json", [
-        {"s": s + 1, "y": sys.word_text(y), "w": sys.word_text(w),
-         "poly": poly_json(space, data.mu[(s, y, w)], order)}
-        for (s, y, w) in sorted(data.mu)
-    ])
+    _write_tables(outdir, sys, data)
 
     cells_obj = {
         "left": result.left.as_words(sys),
@@ -314,7 +369,17 @@ def write_archive(result, outdir):
             ],
             "violations": [repr(v) for v in d.violations],
         })
-    return outdir
+
+    # last: an entry holding meta.json is complete
+    _dump_json(outdir / "meta.json", {
+        "config": config.canonical(),
+        "key": config.key(),
+        "system": sys.summary(),
+        "reports": {k: {"name": r.name, "checked": r.checked,
+                        "violations": [repr(v) for v in r.violations],
+                        "notes": {n: repr(v) for n, v in r.notes.items()}}
+                    for k, r in sorted(result.reports.items())},
+    })
 
 
 def _two_sided_labels(result):

@@ -758,9 +758,13 @@ def scan_equivalence_classes(sys, *, chartable=None, use_mirror=None,
     for reg in regions:
         if reg.validity is not None and not reg.exact:
             vlo, vhi = reg.validity
-            assert vlo <= reg.lo and (vhi is None or reg.hi is None
-                                      or reg.hi <= vhi)
-        assert max(reg.weight) <= 8 * lw0 ** 3
+            if not (vlo <= reg.lo and (vhi is None or reg.hi is None
+                                       or reg.hi <= vhi)):
+                raise ScanError(f"region {reg.interval_text()} leaves its "
+                                f"certificate [{vlo}, {vhi}]")
+        if max(reg.weight) > 8 * lw0 ** 3:
+            raise ScanError(f"region {reg.interval_text()}: representative "
+                            f"weight {reg.weight} exceeds {8 * lw0 ** 3}")
     top = max(regions, key=lambda r: (r.hi is None, r.lo))
     if top.hi is None and top.lo > asymptotic_class_bound(sys):
         raise ScanError("top region starts above the guaranteed threshold")

@@ -1,0 +1,145 @@
+"""Archive bytes, atomic entry writes and the compute cache contract."""
+
+import hashlib
+import json
+
+import pytest
+
+from klcells import cli, pipeline
+
+from conftest import system
+
+# sha256 of every file of an archive entry, recorded with the tables
+# rendered row by row through json.dump: the archive bytes are a contract
+GOLDEN = {
+    "b3-weight": (
+        pipeline.RunConfig(system="B3", weight=(2, 1, 1),
+                           checks=("lemmas", "bounds", "bar", "L")),
+        "185ab44f65ff886b",
+        {
+            "cells.json": "9ac16f20a8e2634fddab9e38e24a6d2db4f600c08b4d52d9f273293ad26dc5f1",
+            "chars.json": "b219b0f1f628312014ac5a9aaa36788d8d1dccd563898cdfe75941a98fbab634",
+            "distinguished.json": "baa47230d108f3370825b67b4fe110a39d1459eb8473640a99fcbfacc02fe6b6",
+            "gamma.json": "f3f0d8cf27841002b95a0a4b89a3dab23fd467dec9ef02cff20b476b837417b1",
+            "meta.json": "223a8d39f15e33f0c7a612cada94b9944564ee7f35d440e519d0aa15e49f6795",
+            "mutable.json": "9c228d81028ad8878e6ec10dd5282908ab927fd5706280e6037d594f122d74b2",
+            "mutable.tsv": "56e8870286d4dc818a6a132487f84853c0829d5b402eac85024aa820903291fb",
+            "ptable.json": "5e5415700419c4e17bdf26face6834c1f42ee7b8e5dbdc5acfb034bce339eda2",
+            "ptable.tsv": "a0c1dae6d23d0a3680de15de57f581c094686120565b9284e39ecdc45af826cd",
+            "two_sided.dot": "cff072a1e5f5dadcc3018d41309d5b99d4fb29663a35914145e3ef97c8c02457",
+        },
+    ),
+    "b3-order": (
+        pipeline.RunConfig(system="B3", order_functionals=((1, 2), (1, 0))),
+        "7bcb375ab355d8c8",
+        {
+            "cells.json": "6e6f3dcc506440a0efdc4f0165ffd903ab8a0bcc42efc6af9fb93686cccddf3f",
+            "chars.json": "49d1b309f5ce38a9d167b34588bcf8a8f554e54a8453c26ca4b7e4cb5675a972",
+            "gamma.json": "47a5bca80439352014b1d5e90bb0076f8e64464064864df2c25bdaf5443fe740",
+            "meta.json": "c0d3435b1ddd66d40c3c62331d790b913edddd276f684199b5e9390d27267611",
+            "mutable.json": "c2309fa4c3acddce49561e3d2e32afe3c799050aa7b6162f18e106a6788c8544",
+            "mutable.tsv": "75107e11127f3626c1b005c663f8f5dae4e9eb5c15381cdd16fdf7f56e10a4f4",
+            "ptable.json": "bad04eef42519a5dca59efc74b0f32715481b9177e32b59e2fb3a93325be8025",
+            "ptable.tsv": "6a0cf9d039a52b1535ae37139cb5f76a431f9cbe316fb9db266ccec25b2285c0",
+            "two_sided.dot": "033ce93f50b703c2444ee7a8b6380d6e700eaa3dad9b2bbbcda83008313f9523",
+        },
+    ),
+    # A1 has no M-entries: mutable.json is the empty-list framing
+    "a1": (
+        pipeline.RunConfig(system="A1", weight=(1,)),
+        "e9173ff423bc4a4d",
+        {
+            "cells.json": "671e32f197b795743e6a67bbce5178e6e81a265da8b64709f6b8ad2f4cff0d4f",
+            "chars.json": "a4f94c9e6627ff837b2dd79172460b1fc5066078d5f27a1c70373644424a5b35",
+            "distinguished.json": "43f55b32b6867e9963046ce780be739baab3b9af0daec5dabbea1071234cbe2b",
+            "gamma.json": "589048f91493675a4d4c59f68bb64479bf5fa4ecc56fe95f925564dc31e8dcd3",
+            "meta.json": "5541406a1535fa0e0fe0f03eb3340335bf0ed95e8fd1ab64639ffc5d3104c8e7",
+            "mutable.json": "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
+            "mutable.tsv": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            "ptable.json": "1050718e1ca4d4105aca530f7dd09c1ef31c1504bd117d9f4e6849f5e85fe0e5",
+            "ptable.tsv": "be5df973327c5fdd475e87563aff967297e1c95798c1a69eaceed8fd35dda12d",
+            "two_sided.dot": "c4e8ec25af66cc1b9ee6184b5fda793035b7ae41b040b1e95a886cca457d6593",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_archive_golden_bytes(tmp_path, case):
+    cfg, key, digests = GOLDEN[case]
+    res = pipeline.run_pipeline(cfg, sys=system(cfg.system))
+    out = pipeline.write_archive(res, tmp_path)
+    assert out == tmp_path / key
+    assert [p.name for p in tmp_path.iterdir()] == [key]
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in out.iterdir()}
+    assert got == digests
+
+
+def _compute(root, *extra):
+    return cli.main(["compute", "--type", "I2:4", "--weight", "2,1",
+                     "--out", str(root), *extra])
+
+
+def test_interrupted_write_leaves_no_entry(tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def failing_poly_text(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:
+            raise RuntimeError("interrupted")
+        return real_poly_text(*args, **kwargs)
+
+    real_poly_text = pipeline.poly_text
+    monkeypatch.setattr(pipeline, "poly_text", failing_poly_text)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        _compute(tmp_path)
+    assert list(tmp_path.iterdir()) == []
+    monkeypatch.undo()
+    capsys.readouterr()
+    assert _compute(tmp_path) == 0
+    out = capsys.readouterr().out
+    assert "cached" not in out and "left cells 6" in out
+    assert len(list(tmp_path.iterdir())) == 1
+
+
+def test_force_replaces_the_entry_whole(tmp_path, capsys):
+    assert _compute(tmp_path) == 0
+    entry = next(tmp_path.iterdir())
+    (entry / "stale.txt").write_text("from an older run\n")
+    assert _compute(tmp_path) == 0
+    assert "cached" in capsys.readouterr().out
+    assert (entry / "stale.txt").exists()
+    assert _compute(tmp_path, "--force") == 0
+    assert not (entry / "stale.txt").exists()
+    assert [p.name for p in tmp_path.iterdir()] == [entry.name]
+
+
+def test_cache_hit_reports_stored_violations(tmp_path, capsys):
+    assert _compute(tmp_path) == 0
+    capsys.readouterr()
+    assert _compute(tmp_path) == 0
+    out = capsys.readouterr().out
+    assert "cached" in out and "check [exponent-bounds]" in out
+    meta_path = next(tmp_path.iterdir()) / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta["reports"]["bounds"]["violations"] = ["'planted'"]
+    meta_path.write_text(json.dumps(meta))
+    assert _compute(tmp_path) == 1
+    assert "1 violation(s)" in capsys.readouterr().out
+
+
+def test_unknown_check_names_are_rejected(tmp_path, capsys):
+    with pytest.raises(ValueError, match="orcale"):
+        pipeline.RunConfig(system="A2", weight=(1, 1),
+                           checks=("orcale", "bar"))
+    assert _compute(tmp_path, "--checks", "orcale,bar") == 2
+    assert "orcale" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    # the archive key of a valid configuration is unchanged
+    cfg = pipeline.RunConfig(system="B3", weight=(2, 1, 1),
+                             checks=("lemmas", "bounds", "bar", "L",
+                                     "oracle"))
+    assert cfg.canonical()["checks"] == ["L", "bar", "bounds", "lemmas",
+                                         "oracle"]
+    assert GOLDEN["b3-weight"][0].key() == GOLDEN["b3-weight"][1]
