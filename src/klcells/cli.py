@@ -64,14 +64,30 @@ def _run_config_from_args(args):
     )
 
 
+def _cached_reports(entry, config):
+    """The check reports stored in an archive entry, or None when the
+    entry is missing or lacks a report the configuration asks for.
+
+    The archive key leaves out ``cross_check``, so an entry written
+    without the cross-check does not serve a run that requests it.
+    """
+    meta_path = entry / "meta.json"
+    if not meta_path.exists():
+        return None
+    reports = json.loads(meta_path.read_text(encoding="utf-8"))["reports"]
+    if config.cross_check and "cross_check" not in reports:
+        return None
+    return [kl_mod.CheckReport(r["name"], r["checked"], r["violations"],
+                               inconclusive=r.get("inconclusive", ""))
+            for r in reports.values()]
+
+
 def cmd_compute(args, parser):
     config = _run_config_from_args(args)
     entry = Path(args.out) / config.key()
-    if (entry / "meta.json").exists() and not args.force:
+    stored = None if args.force else _cached_reports(entry, config)
+    if stored is not None:
         print(f"archive: {entry} (cached; --force recomputes)")
-        meta = json.loads((entry / "meta.json").read_text(encoding="utf-8"))
-        stored = [kl_mod.CheckReport(r["name"], r["checked"], r["violations"])
-                  for r in meta["reports"].values()]
         for rep in stored:
             print(f"check {rep}")
         return 0 if all(rep.ok for rep in stored) else 1

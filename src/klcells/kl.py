@@ -21,7 +21,12 @@ leftover strictly-negative condition on every coefficient is asserted
 at runtime; it is the cheapest guard against an invalid order.
 
 P*-rows are plain dicts element -> polynomial (see laurent.py for the
-polynomial representation); absent entries are zero.
+polynomial representation); absent entries are zero.  ``compute_kl``
+stores each distinct polynomial once: equal P* and M entries are one
+shared dict, and work on them is cached by object identity.  Stored
+polynomials must therefore never be mutated in place.  Checks that
+memoise by ``id`` stay correct on tables that were never interned,
+because every keyed object is kept alive by the table itself.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from .laurent import (
     padd_into,
     pbar,
     pmul,
+    pneg,
     poly_text,
     psub,
     psub_into,
@@ -133,11 +139,13 @@ class KLData:
         return out
 
 
-def _build_row(sys, rows, s, u, order, params, vinv):
+def _build_row(sys, rows, s, u, order, params, vinv, intern, products):
     """One canonical-basis step: expand C_u from C_w with w = su < u.
 
     Returns ``(row, mu_local)`` where row is the T-expansion of C_u and
-    mu_local maps candidate y -> M^s_{y,w}.
+    mu_local maps candidate y -> M^s_{y,w}, passed through ``intern``.
+    ``products`` caches M * P* by the identities of the two (interned)
+    factors; its values are shared and never mutated.
     """
     space = order.space
     one = space.one
@@ -176,12 +184,16 @@ def _build_row(sys, rows, s, u, order, params, vinv):
         m_poly = symmetrize_nonneg(q, order)
         if not m_poly:
             continue
-        mu_local[y] = m_poly
+        m_poly = mu_local[y] = intern(m_poly)
+        mid = id(m_poly)
         for z, p in rows[y].items():
-            prod = pmul(m_poly, p, one)
+            key = (mid, id(p))
+            prod = products.get(key)
+            if prod is None:
+                prod = products[key] = pmul(m_poly, p, one)
             acc = E.get(z)
             if acc is None:
-                E[z] = prod
+                E[z] = pneg(prod)
             else:
                 psub_into(acc, prod)
                 if not acc:
@@ -200,13 +212,25 @@ def compute_kl(sys, params, order, *, progress=None):
     every P*_{y,u} for y < u lies strictly below 1 in the order and that
     the leading coefficient of C_u is 1; these are the cheapest guards
     against an invalid order slipping through rank validation.
+
+    Every stored P* and M polynomial goes through one intern table, so
+    equal polynomials are one shared dict; products M * P* are cached
+    by the factors' identities, and the negativity post-condition runs
+    once per distinct polynomial.
     """
     validate_params(sys, params, order)
     space = order.space
     one = space.one
     vinv = tuple(space.inv(v) for v in params)
+    interned = {}
+
+    def intern(p):
+        return interned.setdefault(frozenset(p.items()), p)
+
+    products = {}
+    negative = set()        # ids of polynomials checked strictly negative
     rows = [None] * sys.size
-    rows[0] = {0: {one: 1}}
+    rows[0] = {0: intern({one: 1})}
     mu = {}
     length = sys.length
     cur_len = 0
@@ -216,7 +240,9 @@ def compute_kl(sys, params, order, *, progress=None):
             progress(cur_len, u)
         descents = sys.left_descents(u)
         s = descents[0]
-        row, mu_local = _build_row(sys, rows, s, u, order, params, vinv)
+        row, mu_local = _build_row(sys, rows, s, u, order, params, vinv,
+                                   intern, products)
+        row = {y: intern(p) for y, p in row.items()}
         top = row.get(u)
         if top != {one: 1}:
             raise KLError(
@@ -225,7 +251,7 @@ def compute_kl(sys, params, order, *, progress=None):
             )
         sign = order.sign
         for y, p in row.items():
-            if y == u:
+            if y == u or id(p) in negative:
                 continue
             for m in p:
                 if sign(m) >= 0:
@@ -235,11 +261,13 @@ def compute_kl(sys, params, order, *, progress=None):
                         % (sys.word_text(y), sys.word_text(u),
                            poly_text(space, p, order))
                     )
+            negative.add(id(p))
         rows[u] = row
         for y, m_poly in mu_local.items():
             mu[(s, y, sys.cayley_left[s][u])] = m_poly
         for s in descents[1:]:
-            row2, mu2 = _build_row(sys, rows, s, u, order, params, vinv)
+            row2, mu2 = _build_row(sys, rows, s, u, order, params, vinv,
+                                   intern, products)
             if row2 != row:
                 raise KLError(
                     f"descent choice changed C_{sys.word_text(u)}"
@@ -359,12 +387,15 @@ class CheckReport:
     checked: int = 0
     violations: list = field(default_factory=list)
     notes: dict = field(default_factory=dict)
+    inconclusive: str = ""  # why a check with no violations compared nothing
 
     @property
     def ok(self):
         return not self.violations
 
     def __str__(self):
+        if self.ok and self.inconclusive:
+            return f"[{self.name}] inconclusive: {self.inconclusive}"
         state = "ok" if self.ok else f"{len(self.violations)} violation(s)"
         return f"[{self.name}] {self.checked} checked, {state}"
 
@@ -471,24 +502,35 @@ def verify_bar_identity_full(kl):
 
 
 def check_lemma_p(kl):
-    """v_w v_y^-1 P*_{y,w} is a polynomial in the v_s^2 with constant term 1."""
+    """v_w v_y^-1 P*_{y,w} is a polynomial in the v_s^2 with constant term 1.
+
+    The verdict depends only on the polynomial and the shift, so it is
+    memoised by ``(id(p), shift)``.
+    """
     sys, space = kl.sys, kl.space
     v = kl.v_elem
     report = CheckReport("P-normalization")
+    verdicts = {}
+
+    def normalized(p, shift):
+        const = 0
+        for m, c in p.items():
+            exps = space.unpack(m + shift - space.one)
+            if any(e < 0 or e % 2 for e in exps):
+                return False
+            if not any(exps):
+                const = c
+        return const == 1
+
     for w in range(sys.size):
         for y, p in kl.rows[w].items():
             shift = v[w] + space.inv(v[y]) - space.one
-            const = 0
-            bad = False
-            for m, c in p.items():
-                exps = space.unpack(m + shift - space.one)
-                if any(e < 0 or e % 2 for e in exps):
-                    bad = True
-                    break
-                if not any(exps):
-                    const = c
+            key = (id(p), shift)
+            ok = verdicts.get(key)
+            if ok is None:
+                ok = verdicts[key] = normalized(p, shift)
             report.checked += 1
-            if bad or const != 1:
+            if not ok:
                 report.violations.append((y, w))
     return report
 
@@ -525,7 +567,8 @@ def check_bounds(kl):
     P*_{1,w0}), so it is checked non-strictly.  Both bounds are the
     coordinate sum of v_{w0}, which is l(w0) when every generator
     contributes a unit vector.  Attained extremes per coordinate are
-    recorded for regression.
+    recorded for regression.  Each polynomial object is scanned once;
+    its out-of-bound exponent vectors are memoised by ``id(p)``.
     """
     sys, space = kl.sys, kl.space
     bound = sum(space.unpack(kl.v_elem[sys.longest]))
@@ -533,25 +576,35 @@ def check_bounds(kl):
     report = CheckReport("exponent-bounds")
     lo = [0] * space.rank
     hi = [0] * space.rank
-    def scan(p, tag):
-        for m in p:
-            exps = space.unpack(m)
-            for i, e in enumerate(exps):
-                if e < lo[i]:
-                    lo[i] = e
-                if e > hi[i]:
-                    hi[i] = e
-                bad = not (-bound < e < bound) if strict \
-                    else not (-bound <= e <= bound)
-                if bad:
-                    report.violations.append((tag, exps))
-        report.checked += 1
+    out_of_bounds = {}
+
+    def scan(p):
+        """Out-of-bound exponent vectors of p, one per bad coordinate."""
+        bad = out_of_bounds.get(id(p))
+        if bad is None:
+            bad = out_of_bounds[id(p)] = []
+            for m in p:
+                exps = space.unpack(m)
+                for i, e in enumerate(exps):
+                    if e < lo[i]:
+                        lo[i] = e
+                    if e > hi[i]:
+                        hi[i] = e
+                    if not (-bound < e < bound) if strict \
+                            else not (-bound <= e <= bound):
+                        bad.append(exps)
+        return bad
+
     for w in range(sys.size):
         for y, p in kl.rows[w].items():
             if y != w:
-                scan(p, ("P", y, w))
+                report.checked += 1
+                for exps in scan(p):
+                    report.violations.append((("P", y, w), exps))
     for key, m_poly in kl.mu.items():
-        scan(m_poly, ("M",) + key)
+        report.checked += 1
+        for exps in scan(m_poly):
+            report.violations.append((("M",) + key, exps))
     report.notes["min_exponents"] = lo
     report.notes["max_exponents"] = hi
     report.notes["strict_bound"] = bound

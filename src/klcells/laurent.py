@@ -11,7 +11,11 @@ unbounded.
 
 A polynomial is a plain ``dict`` mapping packed monomial -> nonzero
 coefficient.  The helpers below never store zero coefficients and never
-mutate their arguments unless the name ends in ``_into``.
+mutate their arguments unless the name ends in ``_into``.  Polynomials
+stored in a ``KLData`` table are shared: equal entries are one object,
+and memos key on object identity (see :mod:`klcells.kl`), so a stored
+polynomial must never be mutated in place; ``_into`` helpers only ever
+receive fresh accumulators.
 
 A total multiplicative order on the monomial group is given by a stack
 of integer weight functionals, compared lexicographically; the stack
@@ -97,9 +101,20 @@ class MonomialOrder:
             raise ValueError(
                 f"functional stack {fs} has rank < {space.rank}: order is not total"
             )
+        self._signs = {}
 
     def sign(self, m):
-        """-1, 0 or +1 for gamma below, equal to or above 1."""
+        """-1, 0 or +1 for gamma below, equal to or above 1.
+
+        Memoised per packed monomial: a table run evaluates the sign of
+        the same few dozen monomials millions of times.
+        """
+        s = self._signs.get(m)
+        if s is None:
+            s = self._signs[m] = self._sign(m)
+        return s
+
+    def _sign(self, m):
         exps = self.space.unpack(m)
         for f in self.functionals:
             v = sum(c * e for c, e in zip(f, exps))
@@ -242,10 +257,11 @@ def split(p, order):
     supported on the strictly positive/negative monomials and ``const``
     the integer coefficient of the identity monomial.
     """
+    sign = order.sign
     pos, neg = {}, {}
     const = 0
     for m, c in p.items():
-        s = order.sign(m)
+        s = sign(m)
         if s > 0:
             pos[m] = c
         elif s < 0:
@@ -265,9 +281,10 @@ def symmetrize_nonneg(q, order):
     """
     space = order.space
     t = space.two_one
+    sign = order.sign
     out = {}
     for m, c in q.items():
-        s = order.sign(m)
+        s = sign(m)
         if s > 0:
             out[m] = out.get(m, 0) + c
             mi = t - m

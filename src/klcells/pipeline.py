@@ -171,8 +171,7 @@ def run_pipeline(config, sys=None, progress=None):
         if not kl_mod.tables_equal(data, oracle):
             rep.violations.append("tables differ")
         result.reports["oracle"] = rep
-    if config.cross_check and config.weight is not None \
-            and len(sys.gen_classes) == 2:
+    if config.cross_check:
         result.reports["cross_check"] = _cross_check_weight(sys, config, data)
     return result
 
@@ -182,9 +181,16 @@ def _cross_check_weight(sys, config, weight_data):
 
     Builds the weighted order with the weight's own functional and each
     tiebreak in turn; whenever the star condition certifies the
-    specialization, the tables must agree entrywise.
+    specialization, the tables must agree entrywise.  A cross-check
+    that certifies no order compared nothing and is reported as
+    inconclusive, not as a pass.
     """
     report = kl_mod.CheckReport("weight-vs-order cross-check")
+    if config.weight is None or len(sys.gen_classes) != 2:
+        report.notes["certified_orders"] = 0
+        report.inconclusive = ("needs a weight run on a system with two "
+                               "generator classes")
+        return report
     cw = weights_mod.class_weights_of(sys, config.weight)
     space = MonomialSpace(2)
     _, params = kl_mod.class_params(sys, space)
@@ -206,6 +212,8 @@ def _cross_check_weight(sys, config, weight_data):
         report.checked += sub.checked
         report.violations.extend(sub.violations)
     report.notes["certified_orders"] = certified
+    if not certified:
+        report.inconclusive = "no order certified"
     return report
 
 
@@ -259,7 +267,9 @@ def write_archive(result, outdir):
 def _write_tables(outdir, sys, data):
     """Stream the P* and M tables as TSV and JSON, one pass per table.
 
-    Each element's word and each distinct polynomial are rendered once.
+    Each element's word and each polynomial object are rendered once
+    (keyed by ``id``: ``compute_kl`` stores equal polynomials as one
+    object, and every keyed object stays alive in ``data``).
     The JSON files hold exactly what ``json.dump(rows, indent=1,
     sort_keys=True)`` would write for the row objects: a polynomial's
     fragment comes from ``json.dumps(indent=1)`` re-indented to its
@@ -271,13 +281,12 @@ def _write_tables(outdir, sys, data):
     rendered = {}
 
     def render(p):
-        key = frozenset(p.items())
-        out = rendered.get(key)
+        out = rendered.get(id(p))
         if out is None:
             frag = json.dumps(poly_json(space, p, order), indent=1,
                               sort_keys=True)
-            out = rendered[key] = (poly_text(space, p, order),
-                                   frag.replace("\n", "\n  "))
+            out = rendered[id(p)] = (poly_text(space, p, order),
+                                     frag.replace("\n", "\n  "))
         return out
 
     _stream_table(outdir, "ptable", (
@@ -375,11 +384,19 @@ def _write_entry(result, outdir):
         "config": config.canonical(),
         "key": config.key(),
         "system": sys.summary(),
-        "reports": {k: {"name": r.name, "checked": r.checked,
-                        "violations": [repr(v) for v in r.violations],
-                        "notes": {n: repr(v) for n, v in r.notes.items()}}
+        "reports": {k: _report_json(r)
                     for k, r in sorted(result.reports.items())},
     })
+
+
+def _report_json(report):
+    """meta.json form of a check report; ``inconclusive`` only when set."""
+    obj = {"name": report.name, "checked": report.checked,
+           "violations": [repr(v) for v in report.violations],
+           "notes": {n: repr(v) for n, v in report.notes.items()}}
+    if report.inconclusive:
+        obj["inconclusive"] = report.inconclusive
+    return obj
 
 
 def _two_sided_labels(result):

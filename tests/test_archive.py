@@ -143,3 +143,26 @@ def test_unknown_check_names_are_rejected(tmp_path, capsys):
     assert cfg.canonical()["checks"] == ["L", "bar", "bounds", "lemmas",
                                          "oracle"]
     assert GOLDEN["b3-weight"][0].key() == GOLDEN["b3-weight"][1]
+
+
+def _compute_b3(root, *extra):
+    return cli.main(["compute", "--type", "B3", "--weight", "2,1,1",
+                     "--out", str(root), *extra])
+
+
+def test_cross_check_is_not_served_from_an_entry_without_it(tmp_path,
+                                                            capsys):
+    # the archive key leaves out cross_check: an entry written without
+    # the cross-check must not answer a run that asks for it
+    assert _compute_b3(tmp_path) == 0
+    out = capsys.readouterr().out
+    assert "cached" not in out and "cross-check" not in out
+    assert _compute_b3(tmp_path, "--cross-check") == 0
+    out = capsys.readouterr().out
+    assert "cached" not in out and "[weight-vs-order cross-check]" in out
+    assert _compute_b3(tmp_path, "--cross-check") == 0
+    out = capsys.readouterr().out
+    assert "cached" in out and "[weight-vs-order cross-check]" in out
+    entry, = tmp_path.iterdir()
+    assert "cross_check" in json.loads((entry / "meta.json").read_text())[
+        "reports"]

@@ -233,3 +233,73 @@ def test_weight_mode_matches_specialized_order_mode(i26):
     wdata = kl.compute_kl(i26, w, worder)
     rep = weights.specialization_consistency(odata, wdata, (3, 1))
     assert rep.ok and rep.checked > 50
+
+
+@pytest.mark.parametrize("name, weight", [
+    ("B3", None), ("B3", (2, 1, 1)), ("B4", None), ("B4", (5, 2, 2, 2)),
+])
+def test_rows_share_one_object_per_distinct_polynomial(name, weight):
+    if weight is None:
+        data = generic_run(name, ((1, 2), (1, 0)))[3]
+    else:
+        sys = system(name)
+        _, params, order = kl.weight_params(sys, weight)
+        data = kl.compute_kl(sys, params, order)
+    polys = [p for row in data.rows for p in row.values()]
+    polys.extend(data.mu.values())
+    by_content = {}
+    for p in polys:
+        by_content.setdefault(frozenset(p.items()), set()).add(id(p))
+    assert all(len(ids) == 1 for ids in by_content.values())
+    assert len({id(p) for p in polys}) == len(by_content) < len(polys)
+
+
+def test_checks_report_every_entry_of_a_shared_polynomial():
+    # one bad polynomial object stored at three entries: two with the
+    # same (y, w) shift, one with another; the id memos of the checks
+    # must still report each entry.  The shared P*_{1,s1} = v^-1 is also
+    # stored at (1, w0), where its shift makes it fail the lemma.
+    sys = system("A2")
+    space, params, order = kl.weight_params(sys, (1, 1))
+    good = kl.compute_kl(sys, params, order)
+    bad = {space.pack((-100,)): 3}
+    w0 = sys.longest
+    s1, s2 = sys.word_to_element((0,)), sys.word_to_element((1,))
+    rows = [dict(row) for row in good.rows]
+    rows[w0][s1] = rows[w0][s2] = rows[s2][0] = bad
+    rows[w0][0] = rows[s1][0]
+    data = kl.KLData(sys=sys, space=space, params=params, order=order,
+                     rows=rows, mu=dict(good.mu), v_elem=good.v_elem)
+    lemma = kl.check_lemma_p(data)
+    assert sorted(lemma.violations) == \
+        sorted([(s1, w0), (s2, w0), (0, s2), (0, w0)])
+    assert lemma.checked == kl.check_lemma_p(good).checked
+    bounds = kl.check_bounds(data)
+    assert sorted(tag for tag, _ in bounds.violations) == \
+        sorted([("P", s1, w0), ("P", s2, w0), ("P", 0, s2)])
+    assert all(exps == (-100,) for _, exps in bounds.violations)
+    assert kl.check_lemma_p(good).ok and kl.check_bounds(good).ok
+
+
+def test_absent_entry_gets_the_negated_product():
+    # plant an entry z in rows[y] that the expansion of C_u never reaches:
+    # it must come out as -M^s_{y,w} * P, and the cached product must stay
+    # the positive product
+    sys, space, order, data = generic_run("A3")
+    one = space.one
+    (s, y, w), m_poly = next(iter(sorted(data.mu.items())))
+    u = sys.cayley_left[s][w]
+    z = sys.longest
+    assert z not in data.rows[u] and z != y
+    planted = {space.pack((-1,)): 2, space.pack((-3,)): -1}
+    rows = list(data.rows)
+    rows[y] = {**rows[y], z: planted}
+    products = {}
+    vinv = tuple(space.inv(v) for v in data.params)
+    row, mu_local = kl._build_row(sys, rows, s, u, order, data.params, vinv,
+                                  lambda p: p, products)
+    assert mu_local[y] == m_poly
+    expected = pmul(m_poly, planted, one)
+    assert row[z] == {m: -c for m, c in expected.items()}
+    assert products[id(mu_local[y]), id(planted)] == expected
+    assert {x: p for x, p in row.items() if x != z} == data.rows[u]

@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -117,6 +118,39 @@ def test_order_properties_randomized():
         ordered = sorted(monos, key=order.key)
         for a, b in zip(ordered, ordered[1:]):
             assert order.compare(a, b) <= 0
+
+
+def direct_sign(order, m):
+    """Sign of m under the order, from the functional stack alone."""
+    exps = order.space.unpack(m)
+    for f in order.functionals:
+        v = sum(c * e for c, e in zip(f, exps))
+        if v:
+            return 1 if v > 0 else -1
+    return 0
+
+
+@pytest.mark.parametrize("fs", [
+    [(2, -5), (1, 1)],
+    [(1, 1), (3, -1)],
+    [(1, 2, -1), (0, 1, 3), (1, 0, 0)],
+    [(0, 1, 1), (2, -1, 0), (1, 1, -4)],
+])
+def test_sign_memo_matches_functionals(fs):
+    rng = random.Random(7)
+    space = MonomialSpace(len(fs))
+    order = MonomialOrder(space, fs)
+    monos = [space.pack(tuple(rng.randint(-6, 6) for _ in fs))
+             for _ in range(300)] + [space.one]
+    # the second pass over each monomial is served from the memo
+    for _ in range(2):
+        assert [order.sign(m) for m in monos] == \
+            [direct_sign(order, m) for m in monos]
+    copy = pickle.loads(pickle.dumps(order))
+    fresh = [space.pack(tuple(rng.randint(-6, 6) for _ in fs))
+             for _ in range(100)]
+    for m in monos + fresh:
+        assert copy.sign(m) == direct_sign(copy, m) == direct_sign(order, m)
 
 
 def test_split():

@@ -152,3 +152,25 @@ def test_archive_contents(tmp_path, i26):
     # JSON table round-trips through the polynomial JSON form
     rows = json.loads((out / "ptable.json").read_text())
     assert all(set(r) == {"y", "w", "poly"} for r in rows)
+
+
+def test_cross_check_without_certified_order_is_inconclusive(tmp_path,
+                                                             capsys):
+    # at b/a = 1/2 no order is certified: the cross-check compared
+    # nothing and must not read as a pass; the exit code stays 0
+    assert cli.main(["compute", "--type", "B3", "--weight", "2,1,1",
+                     "--cross-check", "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "check [weight-vs-order cross-check] inconclusive: " \
+           "no order certified" in out
+    assert "0 checked, ok" not in out
+    entry, = tmp_path.iterdir()
+    rep = json.loads((entry / "meta.json").read_text())["reports"][
+        "cross_check"]
+    assert rep["notes"]["certified_orders"] == "0"
+    assert rep["inconclusive"] == "no order certified"
+    # a cache hit reports it the same way
+    assert cli.main(["compute", "--type", "B3", "--weight", "2,1,1",
+                     "--cross-check", "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "cached" in out and "inconclusive: no order certified" in out
