@@ -315,9 +315,13 @@ def main(argv=None):
                                   argv if argv is not None else _s.argv[1:])
     try:
         return args.func(args, parser)
-    except (CoxeterError, kl_mod.KLError, weights.ScanError, ValueError) as exc:
+    except (CoxeterError, weights.ScanError, ValueError) as exc:
         print(f"error: {exc}", file=_sysmod.stderr)
         return 2
+    except (kl_mod.KLError, OverflowError) as exc:
+        # a failed post-condition or a check that cannot run exactly
+        print(f"error: {exc}", file=_sysmod.stderr)
+        return 1
 
 
 if __name__ == "__main__":

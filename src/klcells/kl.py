@@ -32,6 +32,9 @@ because every keyed object is kept alive by the table itself.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
+
+import numpy as np
 
 from .laurent import (
     MonomialOrder,
@@ -283,52 +286,63 @@ def compute_kl(sys, params, order, *, progress=None):
 # R-polynomials and the independent triangular oracle
 
 
-def compute_r(sys, params, space, pairs=None):
-    """R-polynomials via the left-descent recursion.
+def compute_r(sys, params, space):
+    """R-polynomials via the left-descent recursion, one row y at a time.
 
     Returns a dict (x, y) -> polynomial; pairs with R = 0 are absent.
-    With ``pairs`` given, only those (and their recursive dependencies)
-    are computed.
+    Elements are numbered by length, so with s the first left descent
+    of y the row of sy is complete when row y is built:
+
+        R_{x,y} = R_{sx,sy}                                if sx < x
+        R_{x,y} = R_{sx,sy} + (v_s - v_s^-1) R_{x,sy}      if sx > x.
+
+    Only x with x or sx in the row of sy can be nonzero (the lifting
+    property: x <= y iff min(x, sx) <= sy), so no Bruhat scan is needed.
+    Equal polynomials are one shared object, and the second case is
+    memoised by the identities of its operands.
     """
     one = space.one
-    memo = {(0, 0): {one: 1}}
-    zero = {}
     length = sys.length
+    interned = {}
 
-    def rec(x, y):
-        if length[x] > length[y]:
-            return zero
-        key = (x, y)
-        val = memo.get(key)
-        if val is not None:
-            return val
-        if y == 0:
-            val = {one: 1} if x == 0 else zero
-            memo[key] = val
-            return val
+    def intern(p):
+        return interned.setdefault(frozenset(p.items()), p)
+
+    rows = [{0: intern({one: 1})}]
+    steps = {}
+    for y in range(1, sys.size):
         s = sys.first_left_descent(y)
-        sy = sys.cayley_left[s][y]
-        sx = sys.cayley_left[s][x]
-        if length[sx] < length[x]:
-            val = rec(sx, sy)
-        else:
-            val = dict(rec(sx, sy))
-            vs = params[s]
-            vsi = space.inv(vs)
-            for m, c in rec(x, sy).items():
-                for k, cc in ((m + vs - one, c), (m + vsi - one, -c)):
-                    v = val.get(k, 0) + cc
-                    if v:
-                        val[k] = v
-                    else:
-                        val.pop(k, None)
-        memo[key] = val
-        return val
-
-    if pairs is None:
-        pairs = [(x, y) for y in range(sys.size) for x in range(sys.size)
-                 if sys.bruhat_leq(x, y)]
-    return {(x, y): rec(x, y) for (x, y) in pairs if rec(x, y)}
+        left = sys.cayley_left[s]
+        prev = rows[left[y]]
+        up = params[s] - one
+        down = space.inv(params[s]) - one
+        row = {}
+        for x, r in prev.items():
+            sx = left[x]
+            if length[sx] < length[x]:
+                # the pair {sx, x} is handled at sx when sx is in the row;
+                # otherwise R_{sx,y} = R_{x,sy} and R_{x,y} = 0
+                if sx not in prev:
+                    row[sx] = r
+                continue
+            row[sx] = r                     # R_{sx,y} = R_{x,sy}
+            r_up = prev.get(sx)
+            key = (id(r_up), id(r), s)
+            val = steps.get(key)
+            if val is None:
+                val = dict(r_up) if r_up is not None else {}
+                for m, c in r.items():
+                    for k, cc in ((m + up, c), (m + down, -c)):
+                        v = val.get(k, 0) + cc
+                        if v:
+                            val[k] = v
+                        else:
+                            del val[k]
+                val = steps[key] = intern(val)
+            if val:
+                row[x] = val
+        rows.append(row)
+    return {(x, y): p for y, row in enumerate(rows) for x, p in row.items()}
 
 
 def oracle_kl(sys, params, order, *, limit=48):
@@ -403,24 +417,19 @@ class CheckReport:
 def verify_bar_identity(kl, rtab=None, pairs=None):
     """Check bar(P*)_{x,w} - P*_{x,w} = sum R_{x,y} P*_{y,w} for x < w.
 
-    ``pairs`` restricts the check (default: every stored pair).  The
-    R-table is computed on demand for exactly the needed pairs.
+    ``pairs`` restricts the check (default: every stored pair).  This
+    entry-by-entry form is the independent reference for
+    :func:`verify_bar_identity_full`.
     """
     sys, space, one = kl.sys, kl.space, kl.space.one
     report = CheckReport("bar-identity")
     if pairs is None:
         pairs = [(x, w) for w in range(sys.size) for x in kl.rows[w] if x != w]
-    needed = set()
     by_w = {}
     for x, w in pairs:
         by_w.setdefault(w, []).append(x)
-    for w, xs in by_w.items():
-        for y in kl.rows[w]:
-            for x in xs:
-                needed.add((x, y))
     if rtab is None:
-        rtab = compute_r(sys, kl.params, space,
-                         pairs=[p for p in needed if sys.bruhat_leq(*p)])
+        rtab = compute_r(sys, kl.params, space)
     for w, xs in by_w.items():
         row = kl.rows[w]
         for x in xs:
@@ -439,17 +448,50 @@ def verify_bar_identity(kl, rtab=None, pairs=None):
     return report
 
 
+def _distinct(polys):
+    """The distinct objects of ``polys`` and, per entry, its object's index."""
+    ids = np.fromiter(map(id, polys), np.int64, len(polys))
+    _, first, which = np.unique(ids, return_index=True, return_inverse=True)
+    return [polys[i] for i in first], which
+
+
+def _terms(distinct, which):
+    """Expand entries into one term each, walking every object once.
+
+    Returns the sorted distinct monomials and, per term, the index of
+    its entry, of its monomial and its coefficient (int64).
+    """
+    monos = sorted({m for p in distinct for m in p})
+    index = {m: i for i, m in enumerate(monos)}
+    sizes = np.fromiter(map(len, distinct), np.int64, len(distinct))
+    total = int(sizes.sum())
+    mono = np.fromiter((index[m] for p in distinct for m in p), np.int64,
+                       total)
+    coef = np.fromiter((c for p in distinct for c in p.values()), np.int64,
+                       total)
+    counts = sizes[which]
+    entry = np.repeat(np.arange(len(which)), counts)
+    offset = np.arange(len(entry)) - np.repeat(np.cumsum(counts) - counts,
+                                                counts)
+    term = (np.cumsum(sizes) - sizes)[which][entry] + offset
+    return monos, entry, mono[term], coef[term]
+
+
 def verify_bar_identity_full(kl):
-    """All-pairs R-identity check via sparse slice convolution.
+    """All-pairs R-identity check with one sparse product per R-monomial.
 
     Summing the identity over y = x..w shows it is equivalent to the
     matrix equation bar(P) = R * P over the Laurent ring, where P and R
     are the (element x element) coefficient matrices including the unit
-    diagonals.  Splitting both matrices into integer slices per monomial
-    turns the check into exact sparse integer matrix products, which is
-    what makes full verification affordable on 1000+ element groups.
+    diagonals.  P is laid out once as an n x (n * K_P) integer matrix,
+    one column block per P-monomial.  For each R-monomial m1 the
+    product R_{m1} @ P has its block of m2 moved to the output monomial
+    m1 * m2 and is added into one running difference that starts as
+    -bar(P); a block still nonzero at the end is a violated monomial
+    slice.  Blocks are numbered by packed monomial, so each move keeps
+    the column order.  Arithmetic is exact int64, guarded by a bound on
+    every partial sum.
     """
-    import numpy as np
     from scipy import sparse
 
     sys, space, one = kl.sys, kl.space, kl.space.one
@@ -457,47 +499,45 @@ def verify_bar_identity_full(kl):
     report = CheckReport("bar-identity")
     rtab = compute_r(sys, kl.params, space)
 
-    def slices_of(items):
-        sl = {}
-        maxc = 0
-        for (x, w), poly in items:
-            for m, c in poly.items():
-                e = sl.setdefault(m, ([], [], []))
-                e[0].append(x)
-                e[1].append(w)
-                e[2].append(c)
-                if abs(c) > maxc:
-                    maxc = abs(c)
-        mats = {
-            m: sparse.csr_matrix((v, (r, c)), shape=(n, n), dtype=np.int64)
-            for m, (r, c, v) in sl.items()
-        }
-        return mats, maxc
-
-    rs, rmax = slices_of(rtab.items())
-    ps, pmax = slices_of(((y, w), p) for w in range(n)
-                         for y, p in kl.rows[w].items())
-    if rmax * pmax * n >= 2 ** 62:
+    p_col = np.repeat(np.arange(n), [len(row) for row in kl.rows])
+    p_row = np.fromiter(chain.from_iterable(kl.rows), np.int64, len(p_col))
+    p_distinct, p_which = _distinct(
+        list(chain.from_iterable(row.values() for row in kl.rows)))
+    r_key = np.fromiter(chain.from_iterable(rtab), np.int64,
+                        2 * len(rtab)).reshape(-1, 2)
+    r_distinct, r_which = _distinct(list(rtab.values()))
+    # |entry of R * P| <= sum over y of ||R_{x,y}||_1 * max|P coefficient|
+    pmax = max((abs(c) for p in p_distinct for c in p.values()), default=0)
+    rnorm = max((sum(map(abs, p.values())) for p in r_distinct), default=0)
+    if (n * rnorm + 1) * pmax >= 2 ** 63:
         raise OverflowError("coefficient growth too large for int64 slices")
-    acc = {}
-    for m1, rm in rs.items():
-        k = m1 - one
-        for m2, pm in ps.items():
-            g = k + m2
-            prod = rm @ pm
-            if g in acc:
-                acc[g] = acc[g] + prod
-            else:
-                acc[g] = prod
+
+    pm, entry, mono, coef = _terms(p_distinct, p_which)
+    y, w = p_row[entry], p_col[entry]
+    p_all = sparse.csr_matrix((coef, (y, mono * n + w)),
+                              shape=(n, n * len(pm)))
+    rm, r_entry, r_mono, r_coef = _terms(r_distinct, r_which)
+    r_stacked = sparse.csr_matrix(
+        (r_coef, (r_mono * n + r_key[r_entry, 0], r_key[r_entry, 1])),
+        shape=(n * len(rm), n))
     two_one = space.two_one
-    monos = set(acc) | {two_one - m for m in ps}
-    zero = sparse.csr_matrix((n, n), dtype=np.int64)
-    for g in monos:
-        lhs = ps.get(two_one - g, zero)
-        rhs = acc.get(g, zero)
-        if (lhs - rhs).nnz:
-            report.violations.append(("slice", space.unpack(g)))
-    report.checked = sum(len(kl.rows[w]) for w in range(n))
+    out = sorted({m1 + m2 - one for m1 in rm for m2 in pm}
+                 | {two_one - m2 for m2 in pm})
+    block_of = {g: i for i, g in enumerate(out)}
+    bar_block = np.array([block_of[two_one - m2] for m2 in pm])
+    diff = sparse.csr_matrix(
+        (-coef, (y, bar_block[mono] * n + w)),
+        shape=(n, n * len(out)))
+    for a, m1 in enumerate(rm):
+        prod = r_stacked[a * n:(a + 1) * n] @ p_all
+        block = np.array([block_of[m1 + m2 - one] for m2 in pm])
+        cols = block[prod.indices // n] * n + prod.indices % n
+        diff = diff + sparse.csr_matrix((prod.data, cols, prod.indptr),
+                                        shape=diff.shape)
+    bad = np.unique(diff.indices[diff.data != 0] // n)
+    for g in sorted((out[b] for b in bad), key=kl.order.key):
+        report.violations.append(("slice", space.unpack(g)))
+    report.checked = len(p_col)
     return report
 
 

@@ -84,17 +84,19 @@ def gamma_plus_W(kl_data):
     Union of (a) the inverses of all monomials appearing in any P*_{y,w}
     with y < w, and (b) the consecutive ratios of the monomials of each
     nonzero M-polynomial written in increasing order.  All members are
-    strictly positive for the generating order.
+    strictly positive for the generating order.  Each P* object is
+    walked once (memoised by ``id(p)``; equal entries are shared).
     """
     space = kl_data.space
     inv = space.inv
     out = set()
+    seen = set()
     for w in range(kl_data.sys.size):
         for y, p in kl_data.rows[w].items():
-            if y == w:
+            if y == w or id(p) in seen:
                 continue
-            for m in p:
-                out.add(inv(m))
+            seen.add(id(p))
+            out.update(map(inv, p))
     key = kl_data.order.key
     for m_poly in kl_data.mu.values():
         monos = sorted(m_poly, key=key)

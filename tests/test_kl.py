@@ -10,6 +10,7 @@ from klcells.laurent import (
     pmul,
     poly_from_terms,
     pscale,
+    psub,
 )
 
 from conftest import system
@@ -118,8 +119,13 @@ def test_oracle_guard(b4):
         kl.oracle_kl(b4, params, lex_order(space))
 
 
-def test_r_polynomials():
-    sys, space, order, data = generic_run("A2")
+def weight_run(name, weight):
+    sys = system(name)
+    space, params, order = kl.weight_params(sys, weight)
+    return sys, space, order, kl.compute_kl(sys, params, order)
+
+
+def check_r_table(sys, space, data):
     rtab = kl.compute_r(sys, data.params, space)
     one = space.one
     for y in range(sys.size):
@@ -157,6 +163,13 @@ def test_r_polynomials():
         assert expansion == want, y
 
 
+def test_r_polynomials():
+    # one parameter per generator class on A2, and weights on B3
+    for sys, space, order, data in (generic_run("A2"),
+                                    weight_run("B3", (2, 1, 1))):
+        check_r_table(sys, space, data)
+
+
 def test_r_normalization():
     # v_y v_x^-1 R_{x,y} is a polynomial in the v^2 with the sign of the
     # length gap as constant term
@@ -187,6 +200,78 @@ def test_bar_identity_dict_and_sparse():
     _, w, order = kl.weight_params(sys, (2, 1, 1))
     data = kl.compute_kl(sys, w, order)
     assert kl.verify_bar_identity_full(data).ok
+
+
+def reference_slices(data):
+    """Monomials at which bar(P) = R * P fails, from the dict-based check.
+
+    Every pair x != w is checked; for each flagged pair the monomials of
+    R * P - bar(P) at (x, w) are the violated slices.
+    """
+    sys, space, one = data.sys, data.space, data.space.one
+    rtab = kl.compute_r(sys, data.params, space)
+    n = sys.size
+    pairs = [(x, w) for w in range(n) for x in range(n) if x != w]
+    rep = kl.verify_bar_identity(data, rtab, pairs)
+    monos = set()
+    for x, w in rep.violations:
+        acc = {}
+        for y, p in data.rows[w].items():
+            padd_into(acc, pmul(rtab.get((x, y), {}), p, one))
+        monos.update(psub(acc, pbar(data.rows[w].get(x, {}), space)))
+    return [("slice", space.unpack(m)) for m in sorted(monos,
+                                                         key=data.order.key)]
+
+
+@pytest.mark.parametrize("name, weight, functionals", [
+    ("B3", (2, 1, 1), None),
+    ("B3", None, ((1, 2), (1, 0))),
+    ("I2:6", None, None),
+])
+def test_full_bar_check_flags_the_reference_slices(name, weight,
+                                                   functionals):
+    if weight is None:
+        sys, space, order, good = generic_run(name, functionals)
+    else:
+        sys, space, order, good = weight_run(name, weight)
+    assert kl.verify_bar_identity_full(good).ok
+    assert reference_slices(good) == []
+    # corrupt one entry P*_{y,w0} with y of middle length: the identity
+    # then fails at (x, w0) for every x <= y, in several slices
+    w0 = sys.longest
+    y = next(y for y in sorted(good.rows[w0], key=sys.length.__getitem__)
+             if 2 * sys.length[y] >= sys.length[w0])
+    p = good.rows[w0][y]
+    low = min(p, key=order.key)
+    rows = [dict(row) for row in good.rows]
+    rows[w0][y] = {**p, low: p[low] + 1}
+    bad = kl.KLData(sys=sys, space=space, params=good.params, order=order,
+                    rows=rows, mu=dict(good.mu), v_elem=good.v_elem)
+    rep = kl.verify_bar_identity_full(bad)
+    assert len(rep.violations) > 1
+    assert rep.violations == reference_slices(bad)
+    assert rep.checked == kl.verify_bar_identity_full(good).checked
+
+
+def test_full_bar_check_overflow_guard_bounds_every_partial_sum():
+    # scale the P* coefficients so that the old guard rmax * pmax * n
+    # passes while n * max ||R_{x,y}||_1 * pmax reaches int64
+    sys, space, order, good = generic_run("B3")
+    n = sys.size
+    rtab = kl.compute_r(sys, good.params, space)
+    rmax = max(abs(c) for r in rtab.values() for c in r.values())
+    rnorm = max(sum(map(abs, r.values())) for r in rtab.values())
+    pmax = max(abs(c) for row in good.rows for p in row.values()
+               for c in p.values())
+    k = -(-2 ** 63 // ((n * rnorm + 1) * pmax))
+    assert rmax * k * pmax * n < 2 ** 62
+    assert (n * rnorm + 1) * k * pmax >= 2 ** 63
+    rows = [{y: {m: k * c for m, c in p.items()} for y, p in row.items()}
+            for row in good.rows]
+    scaled = kl.KLData(sys=sys, space=space, params=good.params,
+                       order=order, rows=rows, mu={}, v_elem=good.v_elem)
+    with pytest.raises(OverflowError):
+        kl.verify_bar_identity_full(scaled)
 
 
 def test_lemma_suites():

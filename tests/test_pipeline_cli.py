@@ -1,10 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from klcells import cli, pipeline, weights
+from klcells import cli, kl, pipeline, weights
 
 from conftest import system
 
@@ -121,6 +124,40 @@ def test_cli_errors(tmp_path, capsys):
     rc = cli.main(["compute", "--type", "I2:4", "--weight", "1,2",
                    "--order", "1,0;0,1", "--out", str(tmp_path)])
     assert rc == 2
+
+
+@pytest.mark.parametrize("name, exc", [
+    ("compute_kl", kl.KLError("leading coefficient of C_1 is not 1")),
+    ("verify_bar_identity_full",
+     OverflowError("coefficient growth too large for int64 slices")),
+])
+def test_failed_check_that_raises_exits_1(tmp_path, capsys, monkeypatch,
+                                          name, exc):
+    # a failed post-condition, or a check that cannot run exactly, is a
+    # failed check (exit 1) with one error line, not a usage error or a
+    # traceback; no archive entry is written
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(kl, name, fail)
+    out = tmp_path / "runs"
+    rc = cli.main(["compute", "--type", "I2:4", "--weight", "2,1",
+                   "--checks", "bar", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {exc}"]
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_cli_import_does_not_load_scipy():
+    # scipy is imported by the bar-identity check only, so it stays out of
+    # the start-up time of every command
+    src = str(Path(kl.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, klcells.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_cli_config_file(tmp_path, capsys):
