@@ -1,25 +1,17 @@
 """Cell preorders and partitions derived from the M-table.
 
-Two readings of the elementary left relation are supported:
+The elementary left relation is generated by membership of C_y in
+H*C_w: sw <=_L w whenever sw > w (descent edges point from sw down to
+w) together with y <=_L w whenever sy < y < w < sw and
+M^s_{y,w} != 0.  Under this reading the identity block is the unique
+maximum and the block of w0 the unique minimum, which is how the
+two-sided order is usually drawn; it is validated against the known
+dihedral and F4 cell counts in the test suite.
 
-* ``containment`` (default): the relation generated by membership of
-  C_y in H*C_w, i.e.  sw <=_L w whenever sw > w (descent edges point
-  from sw down to w) together with y <=_L w whenever sy < y < w < sw
-  and M^s_{y,w} != 0.  Under this reading the identity block is the
-  unique maximum and the block of w0 the unique minimum, which is how
-  the two-sided order is usually drawn.
-
-* ``verbatim``: the multiplication-rule text read literally, with the
-  descent edge ascending (y <=_L sy when sy > y).  Every elementary
-  edge then ascends in length, so no cycles form and all cells are
-  singletons; it is kept behind this flag for the record only.
-
-The two readings differ exactly by the direction of the descent edge.
 Cell partitions are the strongly connected components of the edge
-digraph; the containment default is validated against the known
-dihedral and F4 cell counts in the test suite.  The block DAG is stored
-as a transitive reduction with edges pointing up the preorder (from the
-w0 side towards the identity side); closures are recomputed on demand.
+digraph.  The block DAG is stored as a transitive reduction with edges
+pointing up the preorder (from the w0 side towards the identity side);
+closures are recomputed on demand.
 """
 
 from __future__ import annotations
@@ -35,10 +27,8 @@ class Edge:
     reason: str  # "descent" or "mu" (with "-inv" suffix on inverted copies)
 
 
-def left_edges(sys, mu, orientation="containment"):
+def left_edges(sys, mu):
     """Elementary left-relation edges (src <=_L dst), deterministically ordered."""
-    if orientation not in ("containment", "verbatim"):
-        raise ValueError(f"unknown orientation {orientation!r}")
     edges = []
     length = sys.length
     for y in range(sys.size):
@@ -46,10 +36,7 @@ def left_edges(sys, mu, orientation="containment"):
         for s in range(sys.rank):
             w = sys.cayley_left[s][y]
             if length[w] > ly:
-                if orientation == "containment":
-                    edges.append(Edge(w, y, s, "descent"))
-                else:
-                    edges.append(Edge(y, w, s, "descent"))
+                edges.append(Edge(w, y, s, "descent"))
     for (s, y, w) in sorted(mu):
         edges.append(Edge(y, w, s, "mu"))
     edges.sort(key=lambda e: (e.src, e.dst, e.gen))
@@ -171,6 +158,22 @@ class CellPartition:
         return tuple(sorted(tuple(sorted(b)) for b in self.blocks))
 
 
+def partition_of_blocks(sys, kind, blocks):
+    """CellPartition of the given blocks, canonically numbered, no DAG.
+
+    Each block is sorted; blocks are ordered by the (length, index) pair
+    of their shortest element.
+    """
+    blocks = sorted((tuple(sorted(b)) for b in blocks),
+                    key=lambda b: min((sys.length[v], v) for v in b))
+    block_of = [0] * sys.size
+    for i, blk in enumerate(blocks):
+        for w in blk:
+            block_of[w] = i
+    return CellPartition(kind=kind, blocks=tuple(blocks),
+                         block_of=tuple(block_of))
+
+
 def _condense(sys, edge_list, kind):
     n = sys.size
     adj = [[] for _ in range(n)]
@@ -180,21 +183,15 @@ def _condense(sys, edge_list, kind):
     raw_blocks = [[] for _ in range(ncomp)]
     for v in range(n):
         raw_blocks[comp[v]].append(v)
-    order = sorted(
-        range(ncomp),
-        key=lambda c: min((sys.length[v], v) for v in raw_blocks[c]),
-    )
-    renum = {old: new for new, old in enumerate(order)}
-    blocks = tuple(tuple(sorted(raw_blocks[old])) for old in order)
-    block_of = tuple(renum[comp[v]] for v in range(n))
+    part = partition_of_blocks(sys, kind, raw_blocks)
+    block_of = part.block_of
     dag = set()
     for e in edge_list:
         a, b = block_of[e.src], block_of[e.dst]
         if a != b:
             dag.add((a, b))
-    reduction = _transitive_reduction(len(blocks), dag)
-    return CellPartition(kind=kind, blocks=blocks, block_of=block_of,
-                         reduction=reduction)
+    part.reduction = _transitive_reduction(len(part.blocks), dag)
+    return part
 
 
 def _transitive_reduction(n, dag_edges):
@@ -222,9 +219,9 @@ def _transitive_reduction(n, dag_edges):
     return tuple(keep)
 
 
-def left_cells(sys, mu, orientation="containment"):
+def left_cells(sys, mu):
     """Left cells and the generating edge set."""
-    edges = left_edges(sys, mu, orientation)
+    edges = left_edges(sys, mu)
     return _condense(sys, edges, "left"), edges
 
 
@@ -236,15 +233,8 @@ def two_sided_cells(sys, edges):
 def right_cells(sys, left):
     """Right cells are the elementwise inverses of the left cells."""
     inv = sys.inverse
-    blocks = [tuple(sorted(inv[w] for w in blk)) for blk in left.blocks]
-    order = sorted(range(len(blocks)),
-                   key=lambda i: min((sys.length[v], v) for v in blocks[i]))
-    blocks = tuple(blocks[i] for i in order)
-    block_of = [0] * sys.size
-    for i, blk in enumerate(blocks):
-        for w in blk:
-            block_of[w] = i
-    return CellPartition(kind="right", blocks=blocks, block_of=tuple(block_of))
+    return partition_of_blocks(sys, "right",
+                               ([inv[w] for w in blk] for blk in left.blocks))
 
 
 def check_property_L(sys, left, two_sided):

@@ -101,7 +101,7 @@ def cmd_compute(args, parser):
     print(f"system {args.type}: |W| = {result.sys.size}, "
           f"left cells {len(result.left)}, "
           f"two-sided cells {len(result.two_sided)}")
-    if result.cell_chars is not None:
+    if result.left_chars is not None:
         from collections import Counter
 
         print("cell characters by two-sided cell:")
@@ -109,7 +109,7 @@ def cmd_compute(args, parser):
         for ci, blk in enumerate(result.left.blocks):
             t = result.two_sided.block_of[blk[0]]
             by_ts.setdefault(t, []).append(
-                reps.decomposition_name(result.cell_chars[ci]))
+                reps.decomposition_name(result.left_chars[ci]))
         for t in sorted(by_ts):
             counts = Counter(by_ts[t])
             body = " | ".join(f"{k} (x{v})" if v > 1 else k
@@ -194,9 +194,9 @@ def cmd_check(args, parser):
     dist = res.distinguished
     line(dist is not None and dist.ok,
          f"{args.type} {weight}: unique involution minimizers")
-    if res.cell_chars is not None:
+    if res.left_chars is not None:
         line(True, f"{args.type} {weight}: cell characters decompose "
-                   f"integrally ({len(res.cell_chars)} cells)")
+                   f"integrally ({len(res.left_chars)} cells)")
     return min(failures, 255)
 
 
@@ -315,13 +315,15 @@ def main(argv=None):
                                   argv if argv is not None else _s.argv[1:])
     try:
         return args.func(args, parser)
+    except (reps.CharacterDataError, kl_mod.KLError, OverflowError) as exc:
+        # a failed post-condition, a check that cannot run exactly, or a
+        # bundled character table that does not fit the system (a
+        # CharacterDataError is a ValueError, hence this clause first)
+        print(f"error: {exc}", file=_sysmod.stderr)
+        return 1
     except (CoxeterError, weights.ScanError, ValueError) as exc:
         print(f"error: {exc}", file=_sysmod.stderr)
         return 2
-    except (kl_mod.KLError, OverflowError) as exc:
-        # a failed post-condition or a check that cannot run exactly
-        print(f"error: {exc}", file=_sysmod.stderr)
-        return 1
 
 
 if __name__ == "__main__":

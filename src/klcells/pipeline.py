@@ -46,7 +46,6 @@ class RunConfig:
     checks: tuple = ("lemmas", "bounds")
     cap: int = 20000
     cross_check: bool = False
-    orientation: str = "containment"
 
     def __post_init__(self):
         if (self.weight is None) == (self.order_functionals is None):
@@ -69,7 +68,9 @@ class RunConfig:
             "order_functionals": [list(f) for f in self.order_functionals]
             if self.order_functionals else None,
             "checks": sorted(self.checks),
-            "orientation": self.orientation,
+            # constant; kept so that archive keys and meta.json stay
+            # unchanged until the key carries a format version
+            "orientation": "containment",
         }
 
     def key(self):
@@ -87,9 +88,7 @@ class RunResult:
     two_sided: object
     edges: object
     gamma: set
-    chartable: object | None = None
-    class_map: list | None = None
-    cell_chars: list | None = None      # decompositions per left cell
+    left_chars: list | None = None      # decompositions per left cell
     distinguished: object | None = None
     reports: dict = field(default_factory=dict)
 
@@ -106,51 +105,37 @@ def table_name_for(sys_name):
 
 def chartable_for(sys_name):
     key = table_name_for(sys_name)
-    if key is None:
-        return None
-    try:
-        return reps_mod.load_bundled_table(key)
-    except FileNotFoundError:
-        return None
+    return None if key is None else reps_mod.load_bundled_table(key)
 
 
 def run_pipeline(config, sys=None, progress=None):
+    """Compute and analyse one configuration, then run its checks.
+
+    The analysis is ``weights.analyse``, the same path every scan region
+    takes; a character table that is bundled for the type but does not
+    fit the system raises ``CharacterDataError``.
+    """
     if sys is None:
         sys = build_system(config.system, cap=config.cap)
     if config.weight is not None:
-        _, params, order = kl_mod.weight_params(sys, config.weight)
-        coord_weights = (1,)
+        space, params, order = kl_mod.weight_params(sys, config.weight)
     else:
         space = MonomialSpace(len(sys.gen_classes))
         _, params = kl_mod.class_params(sys, space)
         order = MonomialOrder(space, config.order_functionals)
-        coord_weights = None
     data = kl_mod.compute_kl(sys, params, order, progress=progress)
-    left, edges = cells_mod.left_cells(sys, data.mu, config.orientation)
-    right = cells_mod.right_cells(sys, left)
-    two_sided = cells_mod.two_sided_cells(sys, edges)
     gamma = weights_mod.gamma_plus_W(data)
-    result = RunResult(config=config, sys=sys, kl=data, left=left,
-                       right=right, two_sided=two_sided, edges=edges,
-                       gamma=gamma)
-
     table = chartable_for(config.system)
-    if table is not None and table.group_order == sys.size:
-        try:
-            class_map = reps_mod.table_for_system(sys, table)
-        except reps_mod.CharacterDataError:
-            class_map = None
-        if class_map is not None:
-            result.chartable = table
-            result.class_map = class_map
-            values = reps_mod.all_cell_characters(sys, data, left)
-            result.cell_chars = [reps_mod.decompose(v, table, class_map)
-                                 for v in values]
-    try:
-        result.distinguished = weights_mod.distinguished_involutions(
-            data, left, coord_weights)
-    except ValueError:
-        result.distinguished = None
+    chart = None if table is None else (
+        table, reps_mod.table_for_system(sys, table))
+    # an order run on a multi-class space has no coordinate weights
+    found = weights_mod.analyse(sys, data,
+                                (1,) if space.rank == 1 else None, chart)
+    result = RunResult(config=config, sys=sys, kl=data, left=found.left,
+                       right=cells_mod.right_cells(sys, found.left),
+                       two_sided=found.two_sided, edges=found.edges,
+                       gamma=gamma, left_chars=found.left_chars,
+                       distinguished=found.distinguished)
 
     checks = set(config.checks)
     if "lemmas" in checks:
@@ -161,8 +146,8 @@ def run_pipeline(config, sys=None, progress=None):
     if "bar" in checks:
         result.reports["bar_identity"] = kl_mod.verify_bar_identity_full(data)
     if "L" in checks:
-        viol = cells_mod.check_property_L(sys, left, two_sided)
-        rep = kl_mod.CheckReport("property-L", checked=len(left.blocks))
+        viol = cells_mod.check_property_L(sys, result.left, result.two_sided)
+        rep = kl_mod.CheckReport("property-L", checked=len(result.left))
         rep.violations = viol
         result.reports["property_L"] = rep
     if "oracle" in checks:
@@ -331,23 +316,19 @@ def _write_entry(result, outdir):
     }
     _dump_json(outdir / "cells.json", cells_obj)
 
-    labels = None
-    if result.cell_chars is not None:
-        labels = [reps_mod.decomposition_name(m) for m in result.cell_chars]
+    ts_labels = None
+    if result.left_chars is not None:
         _dump_json(outdir / "chars.json", [
-            {"cell": i, "size": len(result.left.blocks[i]),
-             "decomposition": labels[i],
-             "multiplicities": [list(p) for p in result.cell_chars[i]]}
-            for i in range(len(result.left.blocks))
+            {"cell": i, "size": len(blk),
+             "decomposition": reps_mod.decomposition_name(mults),
+             "multiplicities": [list(p) for p in mults]}
+            for i, (blk, mults) in enumerate(zip(result.left.blocks,
+                                                 result.left_chars))
         ])
         ts_labels = _two_sided_labels(result)
-        with open(outdir / "two_sided.dot", "w", encoding="utf-8") as fh:
-            fh.write(cells_mod.dot_export(sys, result.two_sided, ts_labels))
-            fh.write("\n")
-    else:
-        with open(outdir / "two_sided.dot", "w", encoding="utf-8") as fh:
-            fh.write(cells_mod.dot_export(sys, result.two_sided))
-            fh.write("\n")
+    with open(outdir / "two_sided.dot", "w", encoding="utf-8") as fh:
+        fh.write(cells_mod.dot_export(sys, result.two_sided, ts_labels))
+        fh.write("\n")
 
     gamma_obj = {"exponents": sorted(list(space.unpack(m))
                                      for m in result.gamma)}
@@ -410,7 +391,7 @@ def _two_sided_labels(result):
         for ci, lblk in enumerate(result.left.blocks):
             if result.two_sided.block_of[lblk[0]] == t:
                 cell_count += 1
-                for lab, _ in result.cell_chars[ci]:
+                for lab, _ in result.left_chars[ci]:
                     consts[lab] += 1
         common = sorted(lab for lab, k in consts.items() if k == cell_count)
         names.append("&".join(common) if common else f"#{t}")
@@ -442,30 +423,23 @@ def _char_key(mult_list):
     return tuple(sorted((lab, int(m)) for lab, m in mult_list))
 
 
-def _cells_and_chars(obj):
-    """Duck-type accessor for RunResult and scan Region alike."""
-    chars = getattr(obj, "cell_chars", None)
-    if chars is None:
-        chars = getattr(obj, "left_chars", None)
-    return obj.left, obj.two_sided, chars
-
-
 def match_reference_order(result, case):
     """Label-respecting isomorphism check against a reference diagram.
 
     Each computed two-sided block is identified by the set of distinct
     left-cell characters it carries; that set must match exactly one
     reference node, the matching must be a bijection, and the Hasse
-    edges must coincide under it.  Returns (ok, detail dict).
+    edges must coincide under it.  ``result`` is a RunResult or a scan
+    Region.  Returns (ok, detail dict).
     """
     ref = load_reference_order(case)
-    left, two_sided, cell_chars = _cells_and_chars(result)
-    if cell_chars is None:
+    two_sided = result.two_sided
+    if result.left_chars is None:
         return False, {"error": "no cell characters computed"}
     computed = {}
-    for ci, blk in enumerate(left.blocks):
+    for blk, mults in zip(result.left.blocks, result.left_chars):
         t = two_sided.block_of[blk[0]]
-        computed.setdefault(t, set()).add(_char_key(cell_chars[ci]))
+        computed.setdefault(t, set()).add(_char_key(mults))
     ref_sets = {node["label"]: frozenset(_char_key(c) for c in node["cells"])
                 for node in ref["nodes"]}
     detail = {"case": case, "computed_blocks": len(computed),
@@ -499,9 +473,8 @@ def match_reference_order(result, case):
 def match_reference_constructible(result, case):
     """Set equality of computed cell characters with the published list."""
     ref = load_reference_constructible(case)
-    _, _, cell_chars = _cells_and_chars(result)
     want = {_char_key(c) for c in ref["characters"]}
-    got = {_char_key(m) for m in cell_chars}
+    got = {_char_key(m) for m in result.left_chars}
     return got == want, {
         "missing": sorted(want - got),
         "unexpected": sorted(got - want),

@@ -27,8 +27,6 @@ from importlib import resources
 
 import numpy as np
 
-from .laurent import pscale, psub_into
-
 _INT64_GUARD = 1 << 26  # refuse int64 matmul once entries could overflow
 
 
@@ -141,54 +139,10 @@ def table_for_system(sys, table):
 # cell action
 
 
-def mu_index(kl_data):
-    """Index the M-table as (s, w) -> sorted list of (y, M^s_{y,w})."""
-    out = {}
-    for (s, y, w), m in kl_data.mu.items():
-        out.setdefault((s, w), []).append((y, m))
-    for lst in out.values():
-        lst.sort()
-    return out
-
-
-def cell_action_matrix(sys, kl_data, cell, s, mu_by_sw=None):
-    """Generic matrix of T_s on the cell module, entries Laurent polynomials.
-
-    Row/column i corresponds to the i-th element of ``cell`` (a tuple of
-    element indices); entry [i][j] is the e_(cell[i]) coefficient of
-    T_s . e_(cell[j]).
-    """
-    if mu_by_sw is None:
-        mu_by_sw = mu_index(kl_data)
-    space = kl_data.space
-    one = space.one
-    pos = {w: i for i, w in enumerate(cell)}
-    n = len(cell)
-    mat = [[{} for _ in range(n)] for _ in range(n)]
-    length = sys.length
-    vs = kl_data.params[s]
-    vsi = space.inv(vs)
-    for j, w in enumerate(cell):
-        sw = sys.cayley_left[s][w]
-        if length[sw] < length[w]:
-            mat[j][j] = {vsi: -1}
-            continue
-        mat[j][j] = {vs: 1}
-        if sw in pos:
-            mat[pos[sw]][j] = {one: 1}
-        for z, m_poly in mu_by_sw.get((s, w), ()):
-            i = pos.get(z)
-            if i is None:
-                continue
-            sign = -1 if (length[w] - length[z]) % 2 else 1
-            psub_into(mat[i][j], pscale(m_poly, sign, one, one))
-    return mat
-
-
 def cell_action_matrices_v1(sys, kl_data, cell, mu_by_sw=None):
     """Integer generator matrices of the cell module at v_s -> 1."""
     if mu_by_sw is None:
-        mu_by_sw = mu_index(kl_data)
+        mu_by_sw = kl_data.mu_by_sw()
     pos = {w: i for i, w in enumerate(cell)}
     n = len(cell)
     length = sys.length
@@ -274,7 +228,7 @@ def all_cell_characters(sys, kl_data, left, check_relations=False):
     0 elsewhere; that is asserted here since it is an exact global check
     on the M-table and the cell partition at once.
     """
-    mu_by_sw = mu_index(kl_data)
+    mu_by_sw = kl_data.mu_by_sw()
     chars = [cell_character(sys, kl_data, blk, mu_by_sw, check_relations)
              for blk in left.blocks]
     total = [sum(col) for col in zip(*chars)]

@@ -27,10 +27,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from . import cells as cells_mod
 from . import kl as kl_mod
 from . import reps as reps_mod
+from .coxeter import build_system
 from .laurent import MonomialOrder, MonomialSpace
 
 
@@ -319,6 +321,42 @@ def order_distinguished(kl_data, left):
 
 
 # ---------------------------------------------------------------------------
+# the analysis of one computed table
+
+
+@dataclass
+class Analysis:
+    left: object                 # left cells (CellPartition)
+    edges: list                  # elementary left-relation edges
+    two_sided: object
+    left_chars: list | None      # character decomposition per left cell
+    distinguished: DistinguishedReport | None
+
+
+def analyse(sys, kl_data, coord_weights, chart):
+    """Cells, cell characters and distinguished involutions of one table.
+
+    This is the one path from computed KL data to the analysed result:
+    ``pipeline.run_pipeline`` and every scan region go through it.
+    ``chart`` is ``(table, class_map)``, or None for no characters.
+    ``coord_weights`` specialize the data for the distinguished
+    involution report; an order run on a multi-class space has none,
+    and then the report is None.
+    """
+    left, edges = cells_mod.left_cells(sys, kl_data.mu)
+    two_sided = cells_mod.two_sided_cells(sys, edges)
+    left_chars = None
+    if chart is not None:
+        table, class_map = chart
+        left_chars = [reps_mod.decompose(v, table, class_map) for v in
+                      reps_mod.all_cell_characters(sys, kl_data, left)]
+    distinguished = None
+    if coord_weights is not None:
+        distinguished = distinguished_involutions(kl_data, left, coord_weights)
+    return Analysis(left, edges, two_sided, left_chars, distinguished)
+
+
+# ---------------------------------------------------------------------------
 # specialization consistency (the two-route cross-check)
 
 
@@ -375,15 +413,18 @@ class Region:
     functionals: tuple | None    # order functionals (open regions)
     left: object
     two_sided: object
-    validity: tuple | None       # certified interval of the gamma set
-    gamma_exponents: tuple = ()
+    validity: tuple | None = None    # certified interval of the gamma set
     left_chars: list | None = None
-    char_labels: list | None = None
     distinguished: DistinguishedReport | None = None
     order_distinguished_ok: bool | None = None
     gamma_prime_validity: tuple | None = None
-    delta_duplicates: tuple = ()
     by_symmetry: bool = False
+
+    @property
+    def char_labels(self):
+        if self.left_chars is None:
+            return None
+        return [reps_mod.decomposition_name(m) for m in self.left_chars]
 
     def interval_text(self):
         if self.exact:
@@ -463,68 +504,48 @@ def _pure_lex_num_dominant(space, num_coord):
     return MonomialOrder(space, [tuple(f1), tuple(f2)])
 
 
-@dataclass
-class _RegionData:
-    kl: object
-    left: object
-    edges: object
-    two_sided: object
-    gamma: set
+_SYSTEMS = {}   # spec -> system; the scan seeds it with the system it holds
 
 
-def _run_pipeline(sys, params, order):
+def _exact_region(spec, chart, ratio, weight):
+    """The region at an exact breakpoint, from a single-variable run.
+
+    The serial scan maps this over the breakpoints with ``map``, the
+    parallel scan with ``pool.map``.  The system comes from a memo
+    keyed by the spec: the serial scan and forked workers find the
+    scanned system there, a spawned worker builds it once.
+    """
+    sys = _SYSTEMS.get(spec)
+    if sys is None:
+        sys = _SYSTEMS[spec] = build_system(spec)
+    _, params, order = kl_mod.weight_params(sys, weight)
     data = kl_mod.compute_kl(sys, params, order)
-    left, edges = cells_mod.left_cells(sys, data.mu)
-    two_sided = cells_mod.two_sided_cells(sys, edges)
-    gamma = gamma_plus_W(data)
-    return _RegionData(kl=data, left=left, edges=edges, two_sided=two_sided,
-                       gamma=gamma)
+    found = analyse(sys, data, (1,), chart)
+    return Region(lo=ratio, hi=ratio, exact=True, weight=weight,
+                  functionals=None, left=found.left,
+                  two_sided=found.two_sided, left_chars=found.left_chars,
+                  distinguished=found.distinguished)
 
 
-def _exact_region_payload(spec_matrix, spec_name, numerator_gen, weight,
-                          table_name, with_gamma_prime):
-    """Process-pool worker: compute one exact-ratio region from scratch."""
-    from .coxeter import CoxeterSpec, build_system
-
-    spec = CoxeterSpec(matrix=tuple(tuple(r) for r in spec_matrix),
-                       name=spec_name, numerator_gen=numerator_gen)
-    sys = build_system(spec)
-    table = (reps_mod.load_bundled_table(table_name)
-             if table_name else None)
-    _, w1, order1 = kl_mod.weight_params(sys, weight)
-    data = kl_mod.compute_kl(sys, w1, order1)
-    left, edges = cells_mod.left_cells(sys, data.mu)
-    ts = cells_mod.two_sided_cells(sys, edges)
-    left_chars = labels = None
-    if table is not None:
-        class_map = reps_mod.table_for_system(sys, table)
-        values = reps_mod.all_cell_characters(sys, data, left)
-        left_chars = [reps_mod.decompose(v, table, class_map) for v in values]
-        labels = [reps_mod.decomposition_name(m) for m in left_chars]
-    dist = distinguished_involutions(data, left)
-    return {"left": left, "two_sided": ts,
-            "gamma_exponents": tuple(sorted(
-                data.space.unpack(m) for m in gamma_plus_W(data))),
-            "left_chars": left_chars, "char_labels": labels,
-            "distinguished": dist}
-
-
-def scan_equivalence_classes(sys, *, chartable=None, use_mirror=None,
-                             with_gamma_prime=True, progress=None,
-                             max_runs=None, jobs=1, chartable_name=None):
+def scan_equivalence_classes(sys, *, chartable_name=None, use_mirror=None,
+                             progress=None, jobs=1):
     """Partition all positive weight functions of a two-class system.
 
-    Returns a :class:`ScanReport`.  ``chartable`` enables per-region
-    left-cell character decompositions (skipped on mirrored regions).
-    ``use_mirror`` controls whether ratios below 1 are obtained through
-    a class-swapping diagram automorphism (default: automatic when one
+    Returns a :class:`ScanReport`.  ``chartable_name`` names a bundled
+    character table and enables per-region left-cell character
+    decompositions (skipped on mirrored regions).  ``use_mirror``
+    controls whether ratios below 1 are obtained through a
+    class-swapping diagram automorphism (default: automatic when one
     exists).  ``jobs`` > 1 computes the exact-ratio regions in a process
-    pool (they are independent full runs); the merge is deterministic.
+    pool; serial and parallel runs call the same function per region,
+    and the merge is deterministic.
     """
     if len(sys.gen_classes) != 2:
         raise ScanError("scan requires exactly two generator classes")
-    if chartable is None and chartable_name is not None:
-        chartable = reps_mod.load_bundled_table(chartable_name)
+    chart = None
+    if chartable_name is not None:
+        table = reps_mod.load_bundled_table(chartable_name)
+        chart = (table, reps_mod.table_for_system(sys, table))
     num_gen = sys.spec.numerator_gen
     if num_gen is None:
         num_gen = sys.rank - 1
@@ -532,8 +553,7 @@ def scan_equivalence_classes(sys, *, chartable=None, use_mirror=None,
     space = MonomialSpace(2)
     _, params = kl_mod.class_params(sys, space)
     lw0 = sys.length[sys.longest]
-    if max_runs is None:
-        max_runs = 16 * lw0 * lw0 + 64
+    max_runs = 16 * lw0 * lw0 + 64
     swap_map = None
     if use_mirror is not False:
         for perm in sys.diagram_automorphisms():
@@ -548,65 +568,20 @@ def scan_equivalence_classes(sys, *, chartable=None, use_mirror=None,
 
     runs = 0
     open_region_list = []   # finished Region objects for open intervals
-    chart_ctx = None
-    if chartable is not None:
-        class_map = reps_mod.table_for_system(sys, chartable)
-        chart_ctx = (chartable, class_map)
 
     def note(msg):
         if progress is not None:
             progress(msg)
 
-    def run_order(order, label):
+    def probe(order, label):
+        """Two-variable tables and certifying set of one order run."""
         nonlocal runs
         runs += 1
         if runs > max_runs:
             raise ScanError(f"scan exceeded {max_runs} pipeline runs")
         note(f"order run {runs}: {label}")
-        return _run_pipeline(sys, params, order)
-
-    def finish_region(lo, hi, exact, rdata, functionals, weight):
-        cw = class_weights_of(sys, weight)
-        validity = None
-        if not exact:
-            vlo, vhi, *_ = validity_interval(rdata.kl.space, rdata.gamma,
-                                             num_coord)
-            validity = (vlo, vhi)
-        left_chars = labels = None
-        if chart_ctx is not None:
-            table, class_map = chart_ctx
-            values = reps_mod.all_cell_characters(sys, rdata.kl, rdata.left)
-            left_chars = [reps_mod.decompose(v, table, class_map)
-                          for v in values]
-            labels = [reps_mod.decomposition_name(m) for m in left_chars]
-        dist = distinguished_involutions(
-            rdata.kl, rdata.left,
-            cw if rdata.kl.space.rank == 2 else None)
-        _, order_viol = (order_distinguished(rdata.kl, rdata.left)
-                         if rdata.kl.space.rank == 2 else (None, None))
-        gp_validity = None
-        duplicates = ()
-        if with_gamma_prime and rdata.kl.space.rank == 2:
-            gp, dups = gamma_plus_prime_W(rdata.kl, rdata.left)
-            duplicates = tuple(dups)
-            try:
-                glo, ghi, *_ = validity_interval(rdata.kl.space, gp, num_coord)
-                gp_validity = (glo, ghi)
-            except ValueError:
-                gp_validity = None
-        return Region(
-            lo=lo, hi=hi, exact=exact, weight=weight,
-            functionals=functionals, left=rdata.left,
-            two_sided=rdata.two_sided, validity=validity,
-            gamma_exponents=tuple(sorted(
-                rdata.kl.space.unpack(m) for m in rdata.gamma)),
-            left_chars=left_chars, char_labels=labels,
-            distinguished=dist,
-            order_distinguished_ok=(not order_viol) if order_viol is not None
-            else None,
-            gamma_prime_validity=gp_validity,
-            delta_duplicates=duplicates,
-        )
+        data = kl_mod.compute_kl(sys, params, order)
+        return data, gamma_plus_W(data)
 
     def weight_for_ratio(r):
         vals = [0, 0]
@@ -614,21 +589,33 @@ def scan_equivalence_classes(sys, *, chartable=None, use_mirror=None,
         vals[1 - num_coord] = r.denominator
         return weight_from_class_values(sys, vals)
 
-    def finish_open(lo, hi, rdata, functionals):
-        rep = _mediant(lo, hi)
-        region = finish_region(lo, hi, False, rdata, functionals,
-                               weight_for_ratio(rep))
-        open_region_list.append(region)
-        return region
+    def accept(lo, hi, data, order, validity):
+        """Make the accepted probe ``data`` the open region (lo, hi)."""
+        weight = weight_for_ratio(_mediant(lo, hi))
+        found = analyse(sys, data, class_weights_of(sys, weight), chart)
+        gp, _ = gamma_plus_prime_W(data, found.left)
+        try:
+            glo, ghi, *_ = validity_interval(space, gp, num_coord)
+            gp_validity = (glo, ghi)
+        except ValueError:
+            gp_validity = None
+        _, order_viol = order_distinguished(data, found.left)
+        open_region_list.append(Region(
+            lo=lo, hi=hi, exact=False, weight=weight,
+            functionals=order.functionals, left=found.left,
+            two_sided=found.two_sided, validity=validity,
+            left_chars=found.left_chars, distinguished=found.distinguished,
+            order_distinguished_ok=not order_viol,
+            gamma_prime_validity=gp_validity,
+        ))
 
     # top region through the numerator-dominant pure lexicographic order
     top_order = _pure_lex_num_dominant(space, num_coord)
-    data = run_order(top_order, "pure lex")
-    lo, hi, *_ = validity_interval(space, data.gamma, num_coord)
+    data, top_gamma = probe(top_order, "pure lex")
+    lo, hi, *_ = validity_interval(space, top_gamma, num_coord)
     if hi is not None:
         raise ScanError("pure lex region is bounded above; unexpected")
-    top_gamma = data.gamma
-    finish_open(lo, None, data, top_order.functionals)
+    accept(lo, None, data, top_order, (lo, hi))
     del data
 
     def tile(lo_bound, hi_bound, hint_gamma, depth=0):
@@ -645,19 +632,17 @@ def scan_equivalence_classes(sys, *, chartable=None, use_mirror=None,
                 guess = max(cands)
         rho = _mediant(guess, hi_bound)
         order = _order_for_ratio(space, rho, num_coord)
-        data = run_order(order, f"interval guess ({guess}, {hi_bound})")
-        lo, hi, *_ = validity_interval(space, data.gamma, num_coord)
+        data, gamma = probe(order, f"interval guess ({guess}, {hi_bound})")
+        lo, hi, *_ = validity_interval(space, gamma, num_coord)
         if not (lo < rho and (hi is None or rho < hi)):
             # rho itself is critical for its own data; split around it
-            gamma = data.gamma
             del data
             tile(rho, hi_bound, gamma, depth + 1)
             tile(lo_bound, rho, gamma, depth + 1)
             return
         cover_lo = max(lo, lo_bound)
         cover_hi = hi_bound if hi is None else min(hi, hi_bound)
-        gamma = data.gamma
-        finish_open(cover_lo, cover_hi, data, order.functionals)
+        accept(cover_lo, cover_hi, data, order, (lo, hi))
         del data
         if cover_hi < hi_bound:
             tile(cover_hi, hi_bound, gamma, depth + 1)
@@ -681,40 +666,28 @@ def scan_equivalence_classes(sys, *, chartable=None, use_mirror=None,
             raise ScanError(f"breakpoint {bp} outside the theoretical range")
 
     regions = list(open_region_list)
-    if jobs > 1 and breakpoints:
-        from concurrent.futures import ProcessPoolExecutor
+    note(f"exact runs at {len(breakpoints)} breakpoints, jobs={jobs}")
+    exact_run = partial(_exact_region, sys.spec, chart)
+    bp_weights = [weight_for_ratio(bp) for bp in breakpoints]
+    _SYSTEMS[sys.spec] = sys
+    try:
+        if jobs > 1:
+            from concurrent.futures import ProcessPoolExecutor
 
-        args = [(sys.spec.matrix, sys.spec.name, sys.spec.numerator_gen,
-                 weight_for_ratio(bp), chartable_name, with_gamma_prime)
-                for bp in breakpoints]
-        note(f"exact runs at {len(breakpoints)} breakpoints on {jobs} workers")
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            payloads = list(pool.map(_exact_region_payload, *zip(*args)))
-        runs += len(breakpoints)
-        for bp, payload in zip(breakpoints, payloads):
-            regions.append(Region(
-                lo=bp, hi=bp, exact=True, weight=weight_for_ratio(bp),
-                functionals=None, left=payload["left"],
-                two_sided=payload["two_sided"], validity=None,
-                gamma_exponents=payload["gamma_exponents"],
-                left_chars=payload["left_chars"],
-                char_labels=payload["char_labels"],
-                distinguished=payload["distinguished"],
-            ))
-    else:
-        for bp in breakpoints:
-            bp_weight = weight_for_ratio(bp)
-            note(f"exact run at b/a = {bp}")
-            runs += 1
-            _, w1, order1 = kl_mod.weight_params(sys, bp_weight)
-            data1 = kl_mod.compute_kl(sys, w1, order1)
-            left1, edges1 = cells_mod.left_cells(sys, data1.mu)
-            ts1 = cells_mod.two_sided_cells(sys, edges1)
-            rdata = _RegionData(kl=data1, left=left1, edges=edges1,
-                                two_sided=ts1, gamma=gamma_plus_W(data1))
-            regions.append(finish_region(bp, bp, True, rdata, None, bp_weight))
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                regions.extend(pool.map(exact_run, breakpoints, bp_weights))
+        else:
+            regions.extend(map(exact_run, breakpoints, bp_weights))
+    finally:
+        del _SYSTEMS[sys.spec]
+    runs += len(breakpoints)
 
     if mirror:
+        def mirrored_partition(part):
+            return cells_mod.partition_of_blocks(
+                sys, part.kind, ([swap_map[w] for w in blk]
+                                 for blk in part.blocks))
+
         mirrored = []
         for reg in regions:
             if reg.exact and reg.lo == 1:
@@ -722,13 +695,11 @@ def scan_equivalence_classes(sys, *, chartable=None, use_mirror=None,
             inv_lo = Fraction(0) if reg.hi is None else 1 / reg.hi
             inv_hi = 1 / reg.lo
             mw = tuple(reg.weight[swap_perm[s]] for s in range(sys.rank))
-            left_m = _map_partition(reg.left, swap_map, sys)
-            ts_m = _map_partition(reg.two_sided, swap_map, sys)
             mirrored.append(Region(
                 lo=inv_lo, hi=inv_hi if not reg.exact else inv_lo,
                 exact=reg.exact, weight=mw, functionals=None,
-                left=left_m, two_sided=ts_m, validity=None,
-                distinguished=None, by_symmetry=True,
+                left=mirrored_partition(reg.left),
+                two_sided=mirrored_partition(reg.two_sided), by_symmetry=True,
             ))
         regions.extend(mirrored)
         breakpoints = sorted(set(breakpoints)
@@ -780,19 +751,6 @@ def scan_equivalence_classes(sys, *, chartable=None, use_mirror=None,
         order_runs=runs,
         mirrored=mirror,
     )
-
-
-def _map_partition(part, elem_map, sys):
-    blocks = [tuple(sorted(elem_map[w] for w in blk)) for blk in part.blocks]
-    order = sorted(range(len(blocks)),
-                   key=lambda i: min((sys.length[v], v) for v in blocks[i]))
-    blocks = tuple(blocks[i] for i in order)
-    block_of = [0] * sys.size
-    for i, blk in enumerate(blocks):
-        for w in blk:
-            block_of[w] = i
-    return cells_mod.CellPartition(kind=part.kind, blocks=blocks,
-                                   block_of=tuple(block_of))
 
 
 def asymptotic_class_bound(sys):

@@ -131,14 +131,6 @@ def test_partition_depends_only_on_zero_pattern(b3):
     assert ts2.canonical() == ts.canonical()
 
 
-def test_verbatim_orientation_gives_singletons(i24):
-    sys, data, *_ = run("I2:4")
-    left, edges = cells.left_cells(sys, data.mu, orientation="verbatim")
-    assert len(left) == sys.size
-    with pytest.raises(ValueError):
-        cells.left_edges(sys, data.mu, orientation="sideways")
-
-
 def test_block_dag_and_closure():
     sys, data, left, edges, ts = run("I2:4", weight=(2, 1))
     # closure is reflexive-transitive and idempotent

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from klcells import cli, kl, pipeline, weights
+from klcells import cli, kl, pipeline, reps, weights
 
 from conftest import system
 
@@ -145,6 +145,25 @@ def test_failed_check_that_raises_exits_1(tmp_path, capsys, monkeypatch,
                    "--checks", "bar", "--out", str(out)])
     assert rc == 1
     assert capsys.readouterr().err.splitlines() == [f"error: {exc}"]
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "--type", "B3", "--weight", "2,1,1"],
+    ["scan", "--type", "B3", "--chars"],
+])
+def test_character_table_that_does_not_fit_exits_1(tmp_path, capsys,
+                                                    monkeypatch, argv):
+    # a bundled character table that does not fit the system is a failed
+    # run: one error line, exit 1, and no entry or scan files
+    def fail(*args, **kwargs):
+        raise reps.CharacterDataError("table classes do not biject")
+
+    monkeypatch.setattr(reps, "table_for_system", fail)
+    out = tmp_path / "runs"
+    assert cli.main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: table classes do not biject"]
     assert not out.exists() or not any(out.iterdir())
 
 

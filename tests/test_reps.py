@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from klcells import cells, chargen, kl, reps
+import chargen
+from klcells import cells, kl, reps
 from klcells.laurent import lex_order, poly_from_terms
 
 from conftest import system
@@ -68,7 +69,7 @@ def test_dixon_matches_closed_form_dihedral(i24, i26):
 def test_trivial_and_sign_cells():
     for name, weight in (("I2:4", (2, 1)), ("A2", (1, 1)), ("B3", (1, 2, 2))):
         sys, data, left = weight_run(name, weight)
-        mu_idx = reps.mu_index(data)
+        mu_idx = data.mu_by_sw()
         triv = left.blocks[left.block_of[0]]
         assert triv == (0,)
         values = reps.cell_character(sys, data, triv, mu_idx,
@@ -83,8 +84,9 @@ def test_trivial_and_sign_cells():
 
 
 def test_cell_action_matrix_by_hand(i24):
-    """Two-element cell {s, ts} under the lexicographic order: the action
-    entries follow the module rule with M^s_{s,ts} = v_s/v_t + v_t/v_s."""
+    """Two-element cell {s, ts} under the lexicographic order: at
+    v_s = v_t = 1 the action entries follow the module rule, with
+    M^s_{s,ts} = v_s/v_t + v_t/v_s taking the value 2."""
     sys = i24
     space, params = kl.class_params(sys)
     order = lex_order(space)
@@ -94,25 +96,13 @@ def test_cell_action_matrix_by_hand(i24):
     ts = sys.word_to_element((1, 0))
     cell = left.blocks[left.block_of[s_elt]]
     assert cell == (s_elt, ts)
-    vs = poly_from_terms(space, [((1, 0), 1)])
-    vsi = poly_from_terms(space, [((-1, 0), 1)])
-    vt = poly_from_terms(space, [((0, 1), 1)])
-    vti = poly_from_terms(space, [((0, -1), 1)])
-    m_poly = poly_from_terms(space, [((1, -1), 1), ((-1, 1), 1)])
-    mat_s = reps.cell_action_matrix(sys, data, cell, 0)
+    assert data.mu[0, s_elt, ts] == poly_from_terms(
+        space, [((1, -1), 1), ((-1, 1), 1)])
+    mat_s, mat_t = reps.cell_action_matrices_v1(sys, data, cell)
     # T_s e_s = -v_s^-1 e_s ; T_s e_ts = v_s e_ts + M e_s (sign (-1)^1 = -1)
-    assert mat_s[0][0] == {k: -v for k, v in vs.items()} or \
-        mat_s[0][0] == {space.inv(space.pack((1, 0))): -1}
-    assert mat_s[0][0] == {space.pack((-1, 0)): -1}
-    assert mat_s[1][1] == vs
-    assert mat_s[0][1] == m_poly
-    assert mat_s[1][0] == {}
-    mat_t = reps.cell_action_matrix(sys, data, cell, 1)
+    assert mat_s.tolist() == [[-1, 2], [0, 1]]
     # T_t e_s = e_ts + v_t e_s ; T_t e_ts = -v_t^-1 e_ts
-    assert mat_t[0][0] == vt
-    assert mat_t[1][0] == {space.one: 1}
-    assert mat_t[1][1] == {space.pack((0, -1)): -1}
-    assert mat_t[0][1] == {}
+    assert mat_t.tolist() == [[1, 0], [1, -1]]
 
 
 def test_regular_character_sum():

@@ -187,13 +187,39 @@ def test_scan_weight_landing_exhaustive():
                 assert left.canonical() == region.left.canonical(), (name, wt)
 
 
-def test_scan_parallel_matches_serial(i26):
+@pytest.fixture(scope="module")
+def b3_scan_chars(b3):
+    return weights.scan_equivalence_classes(b3, chartable_name="b3")
+
+
+def test_scan_parallel_matches_serial(i26, b3, b3_scan_chars):
+    # B3 has no class-swap mirror, so every region is computed; every
+    # computed region carries its characters in both modes
     from klcells import pipeline
 
-    serial = weights.scan_equivalence_classes(i26, chartable_name="i2_6")
-    parallel = weights.scan_equivalence_classes(i26, chartable_name="i2_6",
-                                                jobs=2)
-    assert pipeline.scan_to_json(serial) == pipeline.scan_to_json(parallel)
+    i26_serial = weights.scan_equivalence_classes(i26, chartable_name="i2_6")
+    for sys, table, serial in ((i26, "i2_6", i26_serial),
+                               (b3, "b3", b3_scan_chars)):
+        parallel = weights.scan_equivalence_classes(
+            sys, chartable_name=table, jobs=2)
+        assert pipeline.scan_to_json(serial) == \
+            pipeline.scan_to_json(parallel)
+        for report in (serial, parallel):
+            for reg in report.regions:
+                assert reg.by_symmetry or reg.char_labels is not None, \
+                    (table, reg.interval_text())
+
+
+def test_scan_regions_match_compute(b3, b3_scan_chars):
+    # constancy on each region: a weight run at the region's
+    # representative weight has the region's left cells and characters
+    from klcells import pipeline
+
+    for reg in b3_scan_chars.regions:
+        res = pipeline.run_pipeline(
+            pipeline.RunConfig("B3", weight=reg.weight, checks=()), sys=b3)
+        assert res.left.canonical() == reg.left.canonical(), reg.weight
+        assert res.left_chars == reg.left_chars, reg.weight
 
 
 def test_scan_rejects_one_class_systems(a3):

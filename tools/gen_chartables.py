@@ -23,7 +23,8 @@ import sys as _sys
 from collections import Counter
 from pathlib import Path
 
-from klcells import cells, chargen, coxeter, kl, reps, weights
+import chargen
+from klcells import cells, coxeter, kl, reps, weights
 
 OUTDIR = Path(_sys.argv[1]) if len(_sys.argv) > 1 else (
     Path(__file__).resolve().parent.parent / "src" / "klcells" / "data" / "chartables"
