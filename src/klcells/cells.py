@@ -147,9 +147,6 @@ class CellPartition:
             self._closure = reach
         return self._closure
 
-    def leq_blocks(self, a, b):
-        return b in self.closure()[a]
-
     def as_words(self, sys):
         return [[sys.word_text(w) for w in blk] for blk in self.blocks]
 

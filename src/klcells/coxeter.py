@@ -344,9 +344,6 @@ class CoxeterSystem:
 
     # -- basic accessors ----------------------------------------------------
 
-    def reduced_word(self, w):
-        return self.words[w]
-
     def word_to_element(self, word):
         w = 0
         for s in word:

@@ -16,9 +16,16 @@ descent of u and w = su,
     C_u = T_s C_w + v_s^-1 C_w - sum over sy < y < w of M^s_{y,w} C_y,
 
 where M^s_{y,w} is the unique bar-invariant element congruent to the
-current T_y-coefficient modulo strictly negative monomials.  The
-leftover strictly-negative condition on every coefficient is asserted
-at runtime; it is the cheapest guard against an invalid order.
+current T_y-coefficient modulo strictly negative monomials.  Since
+T_s C_u = v_s C_u for every left descent s of u, half of C_u determines
+the rest: P*_{y,u} = v_s^-1 P*_{sy,u} whenever sy > y.  So only the
+s-lower half (the y with sy < y) is expanded, and the other half is
+filled in from that eigen-relation.  Every other left descent s' of u
+is expanded the same way, to harvest M^{s'} and to assert that C_u is
+unchanged: the s'-half must agree with the stored row, and the stored
+row must satisfy the s'-relation.  The leftover strictly-negative
+condition on every coefficient is asserted at runtime; it is the
+cheapest guard against an invalid order.
 
 P*-rows are plain dicts element -> polynomial (see laurent.py for the
 polynomial representation); absent entries are zero.  ``compute_kl``
@@ -142,54 +149,60 @@ class KLData:
         return out
 
 
-def _build_row(sys, rows, s, u, order, params, vinv, intern, products):
-    """One canonical-basis step: expand C_u from C_w with w = su < u.
+def _half_row(sys, rows, s, u, order, vs, lower, intern, products):
+    """The s-lower half of C_u (its x with sx < x), from C_w, w = su < u.
 
-    Returns ``(row, mu_local)`` where row is the T-expansion of C_u and
-    mu_local maps candidate y -> M^s_{y,w}, passed through ``intern``.
-    ``products`` caches M * P* by the identities of the two (interned)
-    factors; its values are shared and never mutated.
+    Only that half of (T_s + v_s^-1) C_w - sum M^s_{y,w} C_y is
+    expanded: an entry P*_{y,w} adds to y, times v_s, when sy < y and
+    to sy, unshifted, otherwise; each C_y contributes M^s_{y,w} P*_{z,y}
+    at its s-lower z only.  Every candidate y of M^s_{y,w} is s-lower,
+    so the M-harvest needs nothing else.
+
+    ``lower[x]`` says whether sx < x.  Returns ``(half, mu_local)``:
+    half maps x -> nonzero P*_{x,u} (fresh dicts) and mu_local maps
+    candidate y -> M^s_{y,w}, passed through ``intern``.  ``products``
+    caches M * P* by the identities of the two (interned) factors; its
+    values are shared and never mutated.
     """
-    space = order.space
-    one = space.one
+    one = order.space.one
+    sign = order.sign
     length = sys.length
     left_s = sys.cayley_left[s]
     w = left_s[u]
-    vs = params[s]
-    vsi = vinv[s]
+    shift = vs - one
     E = {}
     for y, p in rows[w].items():
-        sy = left_s[y]
-        shift = (vsi if length[sy] > length[y] else vs) - one
-        t = E.get(sy)
-        if t is None:
-            E[sy] = dict(p)
+        if lower[y]:
+            t = E.get(y)
+            if t is None:
+                E[y] = {m + shift: c for m, c in p.items()}
+            else:
+                for m, c in p.items():
+                    k = m + shift
+                    v = t.get(k, 0) + c
+                    if v:
+                        t[k] = v
+                    else:
+                        del t[k]
         else:
-            padd_into(t, p)
-        t = E.get(y)
-        if t is None:
-            E[y] = {m + shift: c for m, c in p.items()}
-        else:
-            for m, c in p.items():
-                k = m + shift
-                v = t.get(k, 0) + c
-                if v:
-                    t[k] = v
-                else:
-                    del t[k]
-    cands = [y for y in E if y != u and length[left_s[y]] < length[y]]
+            sy = left_s[y]
+            t = E.get(sy)
+            if t is None:
+                E[sy] = dict(p)
+            else:
+                padd_into(t, p)
+    cands = [y for y in E if y != u]
     cands.sort(key=lambda y: (-length[y], y))
     mu_local = {}
     for y in cands:
         q = E.get(y)
-        if not q:
+        if not q or all(sign(m) < 0 for m in q):
             continue
-        m_poly = symmetrize_nonneg(q, order)
-        if not m_poly:
-            continue
-        m_poly = mu_local[y] = intern(m_poly)
+        m_poly = mu_local[y] = intern(symmetrize_nonneg(q, order))
         mid = id(m_poly)
         for z, p in rows[y].items():
+            if not lower[z]:
+                continue
             key = (mid, id(p))
             prod = products.get(key)
             if prod is None:
@@ -201,25 +214,32 @@ def _build_row(sys, rows, s, u, order, params, vinv, intern, products):
                 psub_into(acc, prod)
                 if not acc:
                     del E[z]
-    return {y: p for y, p in E.items() if p}, mu_local
+    return {x: p for x, p in E.items() if p}, mu_local
 
 
 def compute_kl(sys, params, order, *, progress=None):
     """Compute all P*_{y,w} and all nonzero M^s_{y,w}.
 
-    C_u is built once through its smallest left descent; the remaining
-    left descents s of u are then expanded as well, both to harvest the
-    full M-table (M^s_{y,w} exists for every pair sw > w, not just the
-    pair on the recursion path) and to assert that every descent choice
-    reproduces the same C_u.  Runtime assertions additionally check that
-    every P*_{y,u} for y < u lies strictly below 1 in the order and that
-    the leading coefficient of C_u is 1; these are the cheapest guards
-    against an invalid order slipping through rank validation.
+    Row u is built from its smallest left descent s by the half-row
+    recursion (see :func:`_half_row`): the s-lower half, x with sx < x,
+    is expanded from C_{su}, and the other half is filled in from the
+    eigen-relation T_s C_u = v_s C_u, i.e. P*_{sx,u} = v_s^-1 P*_{x,u}.
+    Every other left descent s' of u is expanded as well, half a row
+    again, both to harvest the full M-table (M^s_{y,w} exists for every
+    pair sw > w, not just the pair on the recursion path) and to assert
+    that the descent choice does not change C_u: the s'-half must equal
+    row u's s'-lower half, row u must satisfy the s'-relation on the
+    other half, and the two halves must make up the whole row.  This is
+    the same as re-expanding C_u in full through s' and comparing.
+    Runtime assertions additionally check that every P*_{y,u} for
+    y < u lies strictly below 1 in the order and that the leading
+    coefficient of C_u is 1; these are the cheapest guards against an
+    invalid order slipping through rank validation.
 
     Every stored P* and M polynomial goes through one intern table, so
-    equal polynomials are one shared dict; products M * P* are cached
-    by the factors' identities, and the negativity post-condition runs
-    once per distinct polynomial.
+    equal polynomials are one shared dict; products M * P* and the
+    shifts v_s^-1 P* are cached by the factors' identities, and the
+    negativity post-condition runs once per distinct polynomial.
     """
     validate_params(sys, params, order)
     space = order.space
@@ -230,12 +250,25 @@ def compute_kl(sys, params, order, *, progress=None):
     def intern(p):
         return interned.setdefault(frozenset(p.items()), p)
 
+    shifted = [{} for _ in params]    # [s][id(p)] = v_s^-1 p, p interned
+
+    def down(p, s):
+        memo = shifted[s]
+        q = memo.get(id(p))
+        if q is None:
+            k = vinv[s] - one
+            q = memo[id(p)] = intern({m + k: c for m, c in p.items()})
+        return q
+
+    length = sys.length
+    lower = [[length[left_s[x]] < length[x] for x in range(sys.size)]
+             for left_s in sys.cayley_left]
     products = {}
     negative = set()        # ids of polynomials checked strictly negative
     rows = [None] * sys.size
     rows[0] = {0: intern({one: 1})}
     mu = {}
-    length = sys.length
+    sign = order.sign
     cur_len = 0
     for u in range(1, sys.size):
         if progress is not None and length[u] != cur_len:
@@ -243,16 +276,19 @@ def compute_kl(sys, params, order, *, progress=None):
             progress(cur_len, u)
         descents = sys.left_descents(u)
         s = descents[0]
-        row, mu_local = _build_row(sys, rows, s, u, order, params, vinv,
-                                   intern, products)
-        row = {y: intern(p) for y, p in row.items()}
+        left_s = sys.cayley_left[s]
+        half, mu_local = _half_row(sys, rows, s, u, order, params[s],
+                                   lower[s], intern, products)
+        row = {}
+        for x, p in half.items():
+            row[x] = p = intern(p)
+            row[left_s[x]] = down(p, s)
         top = row.get(u)
         if top != {one: 1}:
             raise KLError(
                 f"leading coefficient of C_{sys.word_text(u)} is not 1: "
                 f"{poly_text(space, top or {}, order)}"
             )
-        sign = order.sign
         for y, p in row.items():
             if y == u or id(p) in negative:
                 continue
@@ -267,16 +303,20 @@ def compute_kl(sys, params, order, *, progress=None):
             negative.add(id(p))
         rows[u] = row
         for y, m_poly in mu_local.items():
-            mu[(s, y, sys.cayley_left[s][u])] = m_poly
+            mu[(s, y, left_s[u])] = m_poly
         for s in descents[1:]:
-            row2, mu2 = _build_row(sys, rows, s, u, order, params, vinv,
-                                   intern, products)
-            if row2 != row:
+            left_s = sys.cayley_left[s]
+            half, mu_local = _half_row(sys, rows, s, u, order, params[s],
+                                       lower[s], intern, products)
+            if 2 * len(half) != len(row) or any(
+                    row.get(x) != p
+                    or row.get(left_s[x]) is not down(row[x], s)
+                    for x, p in half.items()):
                 raise KLError(
                     f"descent choice changed C_{sys.word_text(u)}"
                 )
-            for y, m_poly in mu2.items():
-                mu[(s, y, sys.cayley_left[s][u])] = m_poly
+            for y, m_poly in mu_local.items():
+                mu[(s, y, left_s[u])] = m_poly
 
     return KLData(sys=sys, space=space, params=params, order=order,
                   rows=rows, mu=mu, v_elem=v_of_element(sys, params, space))

@@ -246,10 +246,6 @@ def pbar(p, space):
     return {t - m: c for m, c in p.items()}
 
 
-def pconst(c, space):
-    return {space.one: c} if c else {}
-
-
 def split(p, order):
     """Split p = positive + constant*1 + negative along the order.
 

@@ -121,9 +121,10 @@ def delta_of_element(kl_data, w):
     return kl_data.space.inv(top)
 
 
-def gamma_plus_prime_W(kl_data, left):
+def gamma_plus_prime_W(kl_data, left, gamma):
     """Enlarged set certifying distinguished-involution data as well.
 
+    ``gamma`` is ``gamma_plus_W(kl_data)``; it is copied, not changed.
     Adds (a) the ratio of the top monomial of each P*_{1,w} to every
     lower monomial, and (b) the consecutive ratios of the sorted
     distinct delta values inside each left cell.  Elements sharing a
@@ -132,7 +133,7 @@ def gamma_plus_prime_W(kl_data, left):
     space = kl_data.space
     inv = space.inv
     key = kl_data.order.key
-    out = set(gamma_plus_W(kl_data))
+    out = set(gamma)
     duplicates = []
     for w in range(1, kl_data.sys.size):
         p = kl_data.rows[w].get(0)
@@ -589,11 +590,12 @@ def scan_equivalence_classes(sys, *, chartable_name=None, use_mirror=None,
         vals[1 - num_coord] = r.denominator
         return weight_from_class_values(sys, vals)
 
-    def accept(lo, hi, data, order, validity):
-        """Make the accepted probe ``data`` the open region (lo, hi)."""
+    def accept(lo, hi, data, gamma, order, validity):
+        """Make the accepted probe ``data``, with certifying set ``gamma``,
+        the open region (lo, hi)."""
         weight = weight_for_ratio(_mediant(lo, hi))
         found = analyse(sys, data, class_weights_of(sys, weight), chart)
-        gp, _ = gamma_plus_prime_W(data, found.left)
+        gp, _ = gamma_plus_prime_W(data, found.left, gamma)
         try:
             glo, ghi, *_ = validity_interval(space, gp, num_coord)
             gp_validity = (glo, ghi)
@@ -615,7 +617,7 @@ def scan_equivalence_classes(sys, *, chartable_name=None, use_mirror=None,
     lo, hi, *_ = validity_interval(space, top_gamma, num_coord)
     if hi is not None:
         raise ScanError("pure lex region is bounded above; unexpected")
-    accept(lo, None, data, top_order, (lo, hi))
+    accept(lo, None, data, top_gamma, top_order, (lo, hi))
     del data
 
     def tile(lo_bound, hi_bound, hint_gamma, depth=0):
@@ -642,7 +644,7 @@ def scan_equivalence_classes(sys, *, chartable_name=None, use_mirror=None,
             return
         cover_lo = max(lo, lo_bound)
         cover_hi = hi_bound if hi is None else min(hi, hi_bound)
-        accept(cover_lo, cover_hi, data, order, (lo, hi))
+        accept(cover_lo, cover_hi, data, gamma, order, (lo, hi))
         del data
         if cover_hi < hi_bound:
             tile(cover_hi, hi_bound, gamma, depth + 1)

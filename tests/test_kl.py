@@ -366,6 +366,12 @@ def test_checks_report_every_entry_of_a_shared_polynomial():
     assert kl.check_lemma_p(good).ok and kl.check_bounds(good).ok
 
 
+def lower_flags(sys, s):
+    """lower[x]: whether s is a left descent of x."""
+    left_s, length = sys.cayley_left[s], sys.length
+    return [length[left_s[x]] < length[x] for x in range(sys.size)]
+
+
 def test_absent_entry_gets_the_negated_product():
     # plant an entry z in rows[y] that the expansion of C_u never reaches:
     # it must come out as -M^s_{y,w} * P, and the cached product must stay
@@ -375,16 +381,68 @@ def test_absent_entry_gets_the_negated_product():
     (s, y, w), m_poly = next(iter(sorted(data.mu.items())))
     u = sys.cayley_left[s][w]
     z = sys.longest
-    assert z not in data.rows[u] and z != y
+    lower = lower_flags(sys, s)
+    assert z not in data.rows[u] and z != y and lower[z]
     planted = {space.pack((-1,)): 2, space.pack((-3,)): -1}
     rows = list(data.rows)
     rows[y] = {**rows[y], z: planted}
     products = {}
-    vinv = tuple(space.inv(v) for v in data.params)
-    row, mu_local = kl._build_row(sys, rows, s, u, order, data.params, vinv,
-                                  lambda p: p, products)
+    half, mu_local = kl._half_row(sys, rows, s, u, order, data.params[s],
+                                  lower, lambda p: p, products)
     assert mu_local[y] == m_poly
     expected = pmul(m_poly, planted, one)
-    assert row[z] == {m: -c for m, c in expected.items()}
+    assert half[z] == {m: -c for m, c in expected.items()}
     assert products[id(mu_local[y]), id(planted)] == expected
-    assert {x: p for x, p in row.items() if x != z} == data.rows[u]
+    assert {x: p for x, p in half.items() if x != z} == \
+        {x: p for x, p in data.rows[u].items() if lower[x]}
+
+
+@pytest.mark.parametrize("name,weight,functionals", [
+    ("B3", (2, 1, 1), None),
+    ("B4", (5, 2, 2, 2), None),
+    ("B4", None, [(1, 2), (1, 0)]),
+    ("F4", (1, 1, 2, 2), None),
+], ids=["B3-weight", "B4-weight", "B4-order", "F4-weight"])
+def test_rows_satisfy_every_left_descent_relation(name, weight, functionals):
+    # T_s C_u = v_s C_u for every left descent s of u: the support of
+    # row u is closed under y -> sy and P*_{y,u} = v_s^-1 P*_{sy,u}
+    # whenever sy > y
+    if weight is None:
+        sys, space, order, data = generic_run(name, functionals)
+    else:
+        sys, space, order, data = weight_run(name, weight)
+    one, length = space.one, sys.length
+    for u, row in enumerate(data.rows):
+        for s in sys.left_descents(u):
+            left_s = sys.cayley_left[s]
+            down = space.inv(data.params[s])
+            for y, p in row.items():
+                sy = left_s[y]
+                assert sy in row, (s, y, u)
+                if length[sy] > length[y]:
+                    assert p == pscale(row[sy], 1, down, one), (s, y, u)
+
+
+def test_descent_choice_check_catches_a_dropped_m_term(monkeypatch):
+    # drop the M^s_{y,w} * C_y term from the half of C_u built through a
+    # left descent s that is not the first one: compute_kl must refuse
+    sys = system("B3")
+    space, params, order = kl.weight_params(sys, (2, 1, 1))
+    data = kl.compute_kl(sys, params, order)
+    s, y, w = next((s, y, w) for s, y, w in sorted(data.mu)
+                   if sys.left_descents(sys.cayley_left[s][w])[0] != s)
+    u = sys.cayley_left[s][w]
+    real = kl._half_row
+    calls = []
+
+    def dropping(sys_, rows, s_, u_, *args):
+        if (s_, u_) == (s, u):
+            calls.append(u_)
+            rows = list(rows)
+            rows[y] = {}
+        return real(sys_, rows, s_, u_, *args)
+
+    monkeypatch.setattr(kl, "_half_row", dropping)
+    with pytest.raises(kl.KLError, match="descent choice changed"):
+        kl.compute_kl(sys, params, order)
+    assert calls == [u]

@@ -80,7 +80,7 @@ def test_validity_interval():
 def test_gamma_plus_prime_contains_gamma():
     sys, space, data, left = lex_run("I2:4")
     gamma = weights.gamma_plus_W(data)
-    gp, dups = weights.gamma_plus_prime_W(data, left)
+    gp, dups = weights.gamma_plus_prime_W(data, left, gamma)
     assert gamma <= gp
     assert not dups
     # delta of the identity is trivial; top monomials invert correctly
@@ -274,7 +274,7 @@ def test_f4_pure_lex_gamma_set(f4):
     assert all(abs(v) <= 23 for v in rep.notes["max_exponents"])
     # the enlarged set needs b/a > 9
     left, _ = cells.left_cells(f4, data.mu)
-    gp, _ = weights.gamma_plus_prime_W(data, left)
+    gp, _ = weights.gamma_plus_prime_W(data, left, gamma)
     glo, ghi, *_ = weights.validity_interval(space, gp, 1)
     assert (glo, ghi) == (Fraction(9), None)
 
