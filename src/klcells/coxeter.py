@@ -1,20 +1,21 @@
 """Finite Coxeter systems: enumeration, lengths, Bruhat order, classes.
 
 A system is specified by its Coxeter matrix (optionally via a named
-preset).  Elements are enumerated exactly, with no floating point:
+preset).  Elements are enumerated exactly, with no floating point, by
+left multiplication through one faithful action per connected
+component of the diagram:
 
-* connected rank-2 components are handled combinatorially as dihedral
-  groups (any bond order m);
-* components whose bonds lie in {2,3,4,6} act faithfully on the root
-  lattice through an integer (symmetrizable-Cartan) reflection
-  representation;
-* components whose bonds lie in {2,3,5} act through the same
-  representation with entries a + b*phi in the golden-ratio ring
-  (2*cos(pi/5) = phi, phi^2 = phi + 1).
+* rank-2 components act as dihedral groups on (rotation, flip) pairs,
+  for any bond order m;
+* every other component plays the numbers game on rho = (1, ..., 1)
+  with coordinates a + b*phi in the golden-ratio ring (phi^2 = phi + 1),
+  which covers bonds within {2,3,4,6} or within {2,3,5}.
 
 By the classification of finite Coxeter groups, any other connected
 shape of rank >= 3 is infinite and is rejected up front.  Reducible
 diagrams are built componentwise and assembled as direct products.
+The left Cayley table comes from the actions; the inverse map and the
+right Cayley table are derived from it.
 
 Elements are indexed 0..|W|-1, breadth-first by length and then
 lexicographically by the canonical (lexicographically minimal) reduced
@@ -166,114 +167,66 @@ class CoxeterSpec:
 
 
 # ---------------------------------------------------------------------------
-# exact faithful actions per connected component
+# exact faithful left actions per connected component
 
 
 class _DihedralSeed:
-    """Order-2m dihedral group on two generators; elements are (rot, flip)."""
+    """Order-2m dihedral group on two generators; elements are (rot, flip).
+
+    s is the pure flip and t the flip composed with one rotation, so that
+    st is the rotation; ``act`` is left multiplication by s or t.
+    """
 
     def __init__(self, m):
         self.m = m
         self.identity = (0, 0)
-        # s = pure flip; t = flip composed with one rotation (so st = rot)
-        self.gens = [(0, 1), (m - 1, 1)]
+        self._rot = (0, m - 1)
 
-    def mul(self, a, b):
-        r1, f1 = a
-        r2, f2 = b
-        if f1 == 0:
-            return ((r1 + r2) % self.m, f2)
-        return ((r1 - r2) % self.m, 1 - f2)
+    def act(self, g, elem):
+        rot, flip = elem
+        return ((self._rot[g] - rot) % self.m, 1 - flip)
 
 
-class _IntMatrixSeed:
-    """Integer reflection representation for bonds within {2,3,4,6}.
+# c_ij * c_ji = 4cos^2(pi/m) as a + b*phi, with phi^2 = phi + 1
+_BOND_PRODUCT = {3: (1, 0), 4: (2, 0), 5: (1, 1), 6: (3, 0)}
 
-    Paired Cartan entries multiply to 4*cos(pi/m)^2; on a tree diagram
-    any per-edge orientation is symmetrizable, so the smaller generator
-    index always takes the entry 1.
+
+class _NumbersGame:
+    """The numbers game over Z[phi] (Bjoerner-Brenti, section 4.3).
+
+    A state holds one coordinate a + b*phi per generator, flattened to
+    (a_0, b_0, a_1, b_1, ...).  Firing generator i negates coordinate i
+    and adds c_ij times its old value to each neighbour j, where the
+    smaller index of a bond takes c = 1 and the larger the product in
+    ``_BOND_PRODUCT``; on a tree diagram any such orientation is a
+    faithful action.  The orbit of rho = (1, ..., 1) is in bijection
+    with W, so a state stands for one element.
     """
 
-    _FULL = {2: 0, 3: 1, 4: 2, 6: 3}
-
     def __init__(self, mat):
-        n = len(mat)
-        self.identity = tuple(tuple(1 if i == j else 0 for j in range(n))
-                              for i in range(n))
-        gens = []
-        for s in range(n):
-            rows = [list(r) for r in self.identity]
-            for t in range(n):
-                if t == s:
-                    rows[s][s] = -1
-                    continue
-                c = self._FULL[mat[s][t]]
-                if c == 0:
-                    rows[s][t] = 0
-                else:
-                    rows[s][t] = 1 if s < t else c
-            gens.append(tuple(tuple(r) for r in rows))
-        self.gens = gens
+        k = len(mat)
+        self.identity = (1, 0) * k
+        self._neighbours = [
+            [(j, *((1, 0) if i < j else _BOND_PRODUCT[mat[i][j]]))
+             for j in range(k) if j != i and mat[i][j] >= 3]
+            for i in range(k)
+        ]
 
-    def mul(self, a, b):
-        return tuple(
-            tuple(sum(ra[k] * b[k][j] for k in range(len(b))) for j in range(len(b)))
-            for ra in a
-        )
-
-
-class _GoldenMatrixSeed:
-    """Reflection representation over Z[phi] for bonds within {2,3,5}.
-
-    Matrix entries are pairs (a, b) meaning a + b*phi with phi^2 = phi + 1;
-    2*cos(pi/5) = phi and 2*cos(pi/3) = 1.
-    """
-
-    ZERO = (0, 0)
-    ONE = (1, 0)
-    PHI = (0, 1)
-
-    def __init__(self, mat):
-        n = len(mat)
-        self.identity = tuple(
-            tuple(self.ONE if i == j else self.ZERO for j in range(n))
-            for i in range(n)
-        )
-        coeff = {2: self.ZERO, 3: self.ONE, 5: self.PHI}
-        gens = []
-        for s in range(n):
-            rows = [list(r) for r in self.identity]
-            for t in range(n):
-                rows[s][t] = (-1, 0) if t == s else coeff[mat[s][t]]
-            gens.append(tuple(tuple(r) for r in rows))
-        self.gens = gens
-
-    @staticmethod
-    def _gmul(x, y):
-        a, b = x
-        c, d = y
-        return (a * c + b * d, a * d + b * c + b * d)
-
-    def mul(self, a, b):
-        n = len(b)
-        gmul = self._gmul
-        out = []
-        for ra in a:
-            row = []
-            for j in range(n):
-                acc0 = acc1 = 0
-                for k in range(n):
-                    p, q = gmul(ra[k], b[k][j])
-                    acc0 += p
-                    acc1 += q
-                row.append((acc0, acc1))
-            out.append(tuple(row))
+    def act(self, g, elem):
+        out = list(elem)
+        a, b = elem[2 * g], elem[2 * g + 1]
+        out[2 * g] = -a
+        out[2 * g + 1] = -b
+        for j, p, q in self._neighbours[g]:
+            out[2 * j] += p * a + q * b
+            out[2 * j + 1] += p * b + q * a + q * b
         return tuple(out)
 
 
-def _component_seeds(mat):
-    """Split the diagram into connected components and pick exact actions."""
-    n = len(mat)
+def _components(matrix, linked):
+    """Connected components of the generators under ``linked(m_ij)``,
+    each sorted, in order of their smallest generator."""
+    n = len(matrix)
     seen = [False] * n
     comps = []
     for start in range(n):
@@ -286,29 +239,30 @@ def _component_seeds(mat):
             i = stack.pop()
             comp.append(i)
             for j in range(n):
-                if not seen[j] and mat[i][j] >= 3:
+                if not seen[j] and linked(matrix[i][j]):
                     seen[j] = True
                     stack.append(j)
         comps.append(sorted(comp))
+    return comps
+
+
+def _component_seeds(mat):
+    """Split the diagram into connected components and pick exact actions."""
     seeds = []
-    for comp in comps:
+    for comp in _components(mat, lambda m: m >= 3):
         k = len(comp)
         sub = [[mat[i][j] for j in comp] for i in comp]
         edges = sum(1 for i in range(k) for j in range(i) if sub[i][j] >= 3)
         bonds = {sub[i][j] for i in range(k) for j in range(i)} - {2}
-        if k == 1:
-            seeds.append((comp, _IntMatrixSeed(sub)))
-        elif k == 2:
+        if k == 2:
             seeds.append((comp, _DihedralSeed(sub[0][1])))
         elif edges >= k:
             raise CoxeterError(
                 f"connected component {comp} contains a diagram cycle; "
                 "finite Coxeter diagrams are trees, so the group is infinite"
             )
-        elif bonds <= {3, 4, 6}:
-            seeds.append((comp, _IntMatrixSeed(sub)))
-        elif bonds <= {3, 5}:
-            seeds.append((comp, _GoldenMatrixSeed(sub)))
+        elif bonds <= {3, 4, 6} or bonds <= {3, 5}:
+            seeds.append((comp, _NumbersGame(sub)))
         else:
             raise CoxeterError(
                 f"connected component {comp} with bond orders {sorted(bonds)} is "
@@ -374,13 +328,6 @@ class CoxeterSystem:
 
     def word_text(self, w):
         return "".join(str(s + 1) for s in self.words[w]) or "e"
-
-    def element_order(self, w):
-        k, x = 1, w
-        while x != 0:
-            x = self.mult(x, w)
-            k += 1
-        return k
 
     # -- Bruhat order ---------------------------------------------------------
 
@@ -492,23 +439,7 @@ class CoxeterSystem:
 
 def generator_classes(matrix):
     """Partition generators by connectivity through odd finite bonds."""
-    n = len(matrix)
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in range(n):
-        for j in range(i):
-            if matrix[i][j] % 2 == 1:
-                parent[find(i)] = find(j)
-    groups = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return sorted(groups.values(), key=lambda g: g[0])
+    return _components(matrix, lambda m: m % 2 == 1)
 
 
 def build_system(spec, cap=DEFAULT_CAP):
@@ -522,77 +453,60 @@ def build_system(spec, cap=DEFAULT_CAP):
     mat = spec.matrix
     n = spec.rank
     seeds = _component_seeds(mat)
-    comp_of_gen = {}
-    gen_local = {}
-    for ci, (comp, seed) in enumerate(seeds):
+    place = [None] * n          # generator -> (component, local index)
+    for ci, (comp, _) in enumerate(seeds):
         for li, g in enumerate(comp):
-            comp_of_gen[g] = ci
-            gen_local[g] = li
+            place[g] = (ci, li)
     identity = tuple(seed.identity for _, seed in seeds)
 
-    def right_mul(elem, g):
-        ci = comp_of_gen[g]
-        seed = seeds[ci][1]
+    def left_mul(g, elem):
+        ci, li = place[g]
         parts = list(elem)
-        parts[ci] = seed.mul(parts[ci], seed.gens[gen_local[g]])
+        parts[ci] = seeds[ci][1].act(li, elem[ci])
         return tuple(parts)
 
-    # BFS by length; canonical word = min over (canonical word of
-    # predecessor, appended letter), which yields the lex-least reduced word.
+    # BFS by length; canonical word = min over (letter, canonical word of
+    # the element it multiplies), which yields the lex-least reduced word.
     index_of = {identity: 0}
     words = [()]
-    lengths = [0]
-    level = [(identity, ())]
+    left = []                   # left[w][g] = index of g*w
+    level = [identity]
     while level:
+        first = len(words) - len(level)
+        images = [[left_mul(g, elem) for g in range(n)] for elem in level]
         nxt = {}
-        for elem, word in level:
-            for g in range(n):
-                new = right_mul(elem, g)
+        for w, row in enumerate(images, first):
+            for g, new in enumerate(row):
                 if new in index_of:
                     continue
-                cand = word + (g,)
+                cand = (g,) + words[w]
                 old = nxt.get(new)
                 if old is None or cand < old:
                     nxt[new] = cand
-        if not nxt:
-            break
         if len(index_of) + len(nxt) > cap:
             raise EnumerationCapError(
                 f"more than {cap} elements; group is infinite or cap too low"
             )
-        level = sorted(nxt.items(), key=lambda kv: kv[1])
-        L = len(level[0][1])
-        for elem, word in level:
+        level = sorted(nxt, key=nxt.get)
+        for elem in level:
             index_of[elem] = len(words)
-            words.append(word)
-            lengths.append(L)
+            words.append(nxt[elem])
+        left.extend([index_of[x] for x in row] for row in images)
 
     size = len(words)
-    # dense element list for table building
-    elems = [None] * size
-    for e, i in index_of.items():
-        elems[i] = e
-    cayley_right = [[0] * size for _ in range(n)]
-    cayley_left = [[0] * size for _ in range(n)]
-    for w in range(size):
-        for g in range(n):
-            cayley_right[g][w] = index_of[right_mul(elems[w], g)]
-    # left multiplication: s*w = (w^-1 * s)^-1; build via words instead
-    for w in range(size):
-        word = words[w]
-        for g in range(n):
-            x = cayley_right[g][0]
-            for s in word:
-                x = cayley_right[s][x]
-            cayley_left[g][w] = x
+    lengths = [len(word) for word in words]
+    cayley_left = [list(col) for col in zip(*left)]
     inverse = [0] * size
-    for w in range(size):
+    for w, word in enumerate(words):
         x = 0
-        for s in reversed(words[w]):
-            x = cayley_right[s][x]
+        for s in word:          # s_k...s_1 is the inverse of s_1...s_k
+            x = cayley_left[s][x]
         inverse[w] = x
+    # w*s is the inverse of s*w^-1
+    cayley_right = [[inverse[row[inverse[w]]] for w in range(size)]
+                    for row in cayley_left]
 
-    maxlen = max(lengths)
+    maxlen = lengths[-1]
     longest_candidates = [w for w in range(size) if lengths[w] == maxlen]
     if len(longest_candidates) != 1:
         raise CoxeterError("no unique longest element; group not finite?")

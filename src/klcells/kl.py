@@ -118,8 +118,8 @@ def v_of_element(sys, params, space):
     one = space.one
     out = [one] * sys.size
     for w in range(1, sys.size):
-        word = sys.words[w]
-        out[w] = out[sys.word_to_element(word[:-1])] + params[word[-1]] - one
+        s = sys.words[w][-1]
+        out[w] = out[sys.cayley_right[s][w]] + params[s] - one
     return out
 
 

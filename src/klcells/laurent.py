@@ -290,10 +290,6 @@ def symmetrize_nonneg(q, order):
     return {m: c for m, c in out.items() if c}
 
 
-def is_bar_invariant(p, space):
-    return p == pbar(p, space)
-
-
 # ---------------------------------------------------------------------------
 # text / JSON forms
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import shutil
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -225,6 +226,8 @@ def write_archive(result, outdir):
     The entry is built in a temporary sibling directory, ``meta.json``
     last, and renamed into place only when complete, so an interrupted
     run leaves no entry and an existing entry is replaced whole.
+    Temporary directories of writers that are no longer running are
+    removed first.
     """
     root = Path(outdir)
     key = result.config.key()
@@ -232,6 +235,7 @@ def write_archive(result, outdir):
     tmp = root / f".{key}.{os.getpid()}.tmp"
     old = root / f".{key}.{os.getpid()}.old"
     root.mkdir(parents=True, exist_ok=True)
+    _sweep_stale(root)
     for stale in (tmp, old):
         if stale.exists():
             shutil.rmtree(stale)
@@ -247,6 +251,27 @@ def write_archive(result, outdir):
     if old.exists():
         shutil.rmtree(old)
     return entry
+
+
+_TEMP_DIR_RE = re.compile(r"\.[0-9a-f]{16}\.(\d{1,9})\.(?:tmp|old)")
+
+
+def _sweep_stale(root):
+    """Remove ``.<key>.<pid>.tmp``/``.old`` directories whose pid is not
+    running; a directory of a live pid is never touched."""
+    for path in root.iterdir():
+        m = _TEMP_DIR_RE.fullmatch(path.name)
+        if m is None or not path.is_dir():
+            continue
+        try:
+            os.kill(int(m.group(1)), 0)
+        except ProcessLookupError:
+            try:
+                shutil.rmtree(path)
+            except FileNotFoundError:   # another writer swept it first
+                pass
+        except PermissionError:         # alive, under another user
+            pass
 
 
 def _write_tables(outdir, sys, data):
@@ -333,13 +358,9 @@ def _write_entry(result, outdir):
     gamma_obj = {"exponents": sorted(list(space.unpack(m))
                                      for m in result.gamma)}
     if space.rank == 2 and len(sys.gen_classes) == 2:
-        num_gen = sys.spec.numerator_gen
-        if num_gen is None:
-            num_gen = sys.rank - 1
-        num_coord = sys.class_of_gen[num_gen]
         try:
             lo, hi, blo, bhi = weights_mod.validity_interval(
-                space, result.gamma, num_coord)
+                space, result.gamma, weights_mod.numerator_coord(sys))
             gamma_obj["validity"] = {"lo": _frac(lo), "hi": _frac(hi),
                                      "binding_lo": sorted(map(list, blo)),
                                      "binding_hi": sorted(map(list, bhi))}

@@ -24,7 +24,6 @@ Exact rational arithmetic (fractions.Fraction) throughout; never floats.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -36,11 +35,11 @@ from .coxeter import build_system
 from .laurent import MonomialOrder, MonomialSpace
 
 
-def normalize_weight(weights):
-    """Divide all values by their gcd."""
-    weights = tuple(int(x) for x in weights)
-    g = math.gcd(*weights) if len(weights) > 1 else weights[0]
-    return tuple(x // g for x in weights)
+def numerator_coord(sys):
+    """Class index of the ratio numerator: the class of the preset's
+    ``numerator_gen``, else of the last generator."""
+    num_gen = sys.spec.numerator_gen
+    return sys.class_of_gen[sys.rank - 1 if num_gen is None else num_gen]
 
 
 def class_weights_of(sys, weights):
@@ -547,10 +546,7 @@ def scan_equivalence_classes(sys, *, chartable_name=None, use_mirror=None,
     if chartable_name is not None:
         table = reps_mod.load_bundled_table(chartable_name)
         chart = (table, reps_mod.table_for_system(sys, table))
-    num_gen = sys.spec.numerator_gen
-    if num_gen is None:
-        num_gen = sys.rank - 1
-    num_coord = sys.class_of_gen[num_gen]
+    num_coord = numerator_coord(sys)
     space = MonomialSpace(2)
     _, params = kl_mod.class_params(sys, space)
     lw0 = sys.length[sys.longest]
@@ -558,7 +554,8 @@ def scan_equivalence_classes(sys, *, chartable_name=None, use_mirror=None,
     swap_map = None
     if use_mirror is not False:
         for perm in sys.diagram_automorphisms():
-            if sys.class_of_gen[perm[num_gen]] != num_coord:
+            # automorphisms map classes to classes: one generator tells
+            if sys.class_of_gen[perm[0]] != sys.class_of_gen[0]:
                 swap_map = sys.element_map_for_auto(perm)
                 swap_perm = perm
                 break

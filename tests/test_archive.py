@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -113,6 +115,48 @@ def test_force_replaces_the_entry_whole(tmp_path, capsys):
     assert _compute(tmp_path, "--force") == 0
     assert not (entry / "stale.txt").exists()
     assert [p.name for p in tmp_path.iterdir()] == [entry.name]
+
+
+def _digests(entry):
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in entry.iterdir()}
+
+
+def _plant_temp_dirs(root, pid):
+    """A ``.tmp`` of this run's key and an ``.old`` of another key."""
+    cfg = pipeline.RunConfig(system="I2:4", weight=(2, 1))
+    planted = [root / f".{cfg.key()}.{pid}.tmp",
+               root / f".{'0' * 16}.{pid}.old"]
+    for path in planted:
+        path.mkdir(parents=True)
+        (path / "ptable.tsv").write_text("partial\n")
+    return planted
+
+
+def test_stale_temp_dirs_of_dead_writers_are_swept(tmp_path, capsys):
+    assert _compute(tmp_path / "clean") == 0
+    clean = _digests(next((tmp_path / "clean").iterdir()))
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()                        # reaped: its pid runs nothing now
+    root = tmp_path / "swept"
+    _plant_temp_dirs(root, child.pid)
+    assert _compute(root) == 0
+    entry, = root.iterdir()
+    assert _digests(entry) == clean
+
+
+def test_temp_dirs_of_live_writers_are_kept(tmp_path, capsys):
+    child = subprocess.Popen([sys.executable, "-c",
+                              "import time; time.sleep(120)"])
+    try:
+        planted = _plant_temp_dirs(tmp_path, child.pid)
+        assert _compute(tmp_path) == 0
+        assert all((p / "ptable.tsv").read_text() == "partial\n"
+                   for p in planted)
+        assert len(list(tmp_path.iterdir())) == 3
+    finally:
+        child.kill()
+        child.wait()
 
 
 def test_cache_hit_reports_stored_violations(tmp_path, capsys):

