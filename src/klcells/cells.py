@@ -128,23 +128,10 @@ class CellPartition:
     def closure(self):
         """above[b] = frozenset of blocks >= b (inclusive)."""
         if self._closure is None:
-            succ = {i: [] for i in range(len(self.blocks))}
+            succ = [[] for _ in self.blocks]
             for a, b in self.reduction:
                 succ[a].append(b)
-            reach = {}
-
-            def visit(b):
-                got = reach.get(b)
-                if got is None:
-                    acc = {b}
-                    for c in succ[b]:
-                        acc |= visit(c)
-                    got = reach[b] = frozenset(acc)
-                return got
-
-            for b in range(len(self.blocks)):
-                visit(b)
-            self._closure = reach
+            self._closure = _reachable(succ)
         return self._closure
 
     def as_words(self, sys):
@@ -191,24 +178,30 @@ def _condense(sys, edge_list, kind):
     return part
 
 
-def _transitive_reduction(n, dag_edges):
-    succ = {i: set() for i in range(n)}
-    for a, b in dag_edges:
-        succ[a].add(b)
+def _reachable(succ):
+    """reach[b] = frozenset of the nodes reachable from b, b included, in
+    the acyclic digraph with successor lists ``succ``."""
     reach = {}
 
     def visit(b):
         got = reach.get(b)
         if got is None:
-            acc = set()
+            acc = {b}
             for c in succ[b]:
-                acc.add(c)
                 acc |= visit(c)
-            got = reach[b] = acc
+            got = reach[b] = frozenset(acc)
         return got
 
-    for b in range(n):
+    for b in range(len(succ)):
         visit(b)
+    return reach
+
+
+def _transitive_reduction(n, dag_edges):
+    succ = [set() for _ in range(n)]
+    for a, b in dag_edges:
+        succ[a].add(b)
+    reach = _reachable(succ)
     keep = []
     for a, b in sorted(dag_edges):
         if not any(b in reach[c] for c in succ[a] if c != b):

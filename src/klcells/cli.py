@@ -105,13 +105,9 @@ def cmd_compute(args, parser):
         from collections import Counter
 
         print("cell characters by two-sided cell:")
-        by_ts = {}
-        for ci, blk in enumerate(result.left.blocks):
-            t = result.two_sided.block_of[blk[0]]
-            by_ts.setdefault(t, []).append(
-                reps.decomposition_name(result.left_chars[ci]))
+        by_ts = pipeline.chars_by_two_sided(result)
         for t in sorted(by_ts):
-            counts = Counter(by_ts[t])
+            counts = Counter(map(reps.decomposition_name, by_ts[t]))
             body = " | ".join(f"{k} (x{v})" if v > 1 else k
                               for k, v in sorted(counts.items()))
             size = len(result.two_sided.blocks[t])
@@ -132,7 +128,7 @@ def cmd_scan(args, parser):
         if args.verbose else None
     report = weights.scan_equivalence_classes(
         sys_, chartable_name=table_name,
-        use_mirror=False if args.no_mirror else None,
+        use_mirror=not args.no_mirror,
         progress=progress, jobs=args.jobs)
     outdir = pipeline.write_scan(report, Path(args.out) / "scan", sys_)
     print(pipeline.scan_to_text(report), end="")

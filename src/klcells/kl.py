@@ -59,7 +59,8 @@ from .laurent import (
 
 
 class KLError(AssertionError):
-    """A runtime post-condition of the canonical-basis recursion failed."""
+    """A runtime post-condition failed: of the canonical-basis recursion,
+    or of the cell characters computed from its M-table."""
 
 
 def class_params(sys, space=None):
@@ -134,10 +135,6 @@ class KLData:
     rows: list            # rows[w]: dict y -> P*_{y,w} (includes y=w -> 1)
     mu: dict              # (s, y, w) -> nonzero bar-invariant polynomial
     v_elem: list = None   # v_w per element
-
-    def p(self, y, w):
-        row = self.rows[w]
-        return row.get(y, {}) if row is not None else {}
 
     def mu_by_sw(self):
         """Index (s, w) -> list of (y, M^s_{y,w}) pairs, sorted by y."""
@@ -581,6 +578,19 @@ def verify_bar_identity_full(kl):
     return report
 
 
+def _squares_constant(space, p, shift):
+    """Constant term of ``shift`` * p, or None when ``shift`` * p is not a
+    polynomial in the v_s^2 (``shift`` is a packed monomial)."""
+    const = 0
+    for m, c in p.items():
+        exps = space.unpack(m + shift - space.one)
+        if any(e < 0 or e % 2 for e in exps):
+            return None
+        if not any(exps):
+            const = c
+    return const
+
+
 def check_lemma_p(kl):
     """v_w v_y^-1 P*_{y,w} is a polynomial in the v_s^2 with constant term 1.
 
@@ -591,24 +601,13 @@ def check_lemma_p(kl):
     v = kl.v_elem
     report = CheckReport("P-normalization")
     verdicts = {}
-
-    def normalized(p, shift):
-        const = 0
-        for m, c in p.items():
-            exps = space.unpack(m + shift - space.one)
-            if any(e < 0 or e % 2 for e in exps):
-                return False
-            if not any(exps):
-                const = c
-        return const == 1
-
     for w in range(sys.size):
         for y, p in kl.rows[w].items():
             shift = v[w] + space.inv(v[y]) - space.one
             key = (id(p), shift)
             ok = verdicts.get(key)
             if ok is None:
-                ok = verdicts[key] = normalized(p, shift)
+                ok = verdicts[key] = _squares_constant(space, p, shift) == 1
             report.checked += 1
             if not ok:
                 report.violations.append((y, w))
@@ -626,14 +625,8 @@ def check_lemma_m(kl):
             report.violations.append(("bar", s, y, w))
             continue
         shift = kl.params[s] + v[w] + space.inv(v[y]) - 2 * space.one
-        bad = False
-        for m, c in m_poly.items():
-            exps = space.unpack(m + shift - space.one)
-            if any(e < 0 or e % 2 for e in exps) or not any(exps):
-                bad = True
-                break
         report.checked += 1
-        if bad:
+        if _squares_constant(space, m_poly, shift) != 0:
             report.violations.append(("support", s, y, w))
     return report
 

@@ -70,12 +70,6 @@ class MonomialSpace:
     def inv(self, m):
         return self.two_one - m
 
-    def __eq__(self, other):
-        return isinstance(other, MonomialSpace) and other.rank == self.rank
-
-    def __hash__(self):
-        return hash(("MonomialSpace", self.rank))
-
     def __repr__(self):
         return f"MonomialSpace(rank={self.rank})"
 
@@ -304,11 +298,10 @@ def varnames(rank):
     return tuple(f"x{i}" for i in range(rank))
 
 
-def mono_text(space, m, names=None):
-    names = names or varnames(space.rank)
+def mono_text(space, m):
     exps = space.unpack(m)
     parts = []
-    for n, e in zip(names, exps):
+    for n, e in zip(varnames(space.rank), exps):
         if e == 1:
             parts.append(n)
         elif e:
@@ -316,11 +309,10 @@ def mono_text(space, m, names=None):
     return "*".join(parts) if parts else "1"
 
 
-def poly_text(space, p, order=None, names=None):
+def poly_text(space, p, order=None):
     """Human form ``c*x^i*y^j + ...`` sorted descending by the order."""
     if not p:
         return "0"
-    names = names or varnames(space.rank)
     if order is not None:
         monos = sorted(p, key=order.key, reverse=True)
     else:
@@ -328,7 +320,7 @@ def poly_text(space, p, order=None, names=None):
     parts = []
     for m in monos:
         c = p[m]
-        mt = mono_text(space, m, names)
+        mt = mono_text(space, m)
         if mt == "1":
             term = str(abs(c))
         elif abs(c) == 1:

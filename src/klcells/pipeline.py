@@ -87,7 +87,6 @@ class RunResult:
     left: object
     right: object
     two_sided: object
-    edges: object
     gamma: set
     left_chars: list | None = None      # decompositions per left cell
     distinguished: object | None = None
@@ -134,8 +133,8 @@ def run_pipeline(config, sys=None, progress=None):
                                 (1,) if space.rank == 1 else None, chart)
     result = RunResult(config=config, sys=sys, kl=data, left=found.left,
                        right=cells_mod.right_cells(sys, found.left),
-                       two_sided=found.two_sided, edges=found.edges,
-                       gamma=gamma, left_chars=found.left_chars,
+                       two_sided=found.two_sided, gamma=gamma,
+                       left_chars=found.left_chars,
                        distinguished=found.distinguished)
 
     checks = set(config.checks)
@@ -184,17 +183,15 @@ def _cross_check_weight(sys, config, weight_data):
     for tie_coord in (0, 1):
         f2 = [0, 0]
         f2[tie_coord] = 1
-        try:
-            order = MonomialOrder(space, [tuple(cw), tuple(f2)])
-        except ValueError:
-            continue
+        order = MonomialOrder(space, [tuple(cw), tuple(f2)])
         odata = kl_mod.compute_kl(sys, params, order)
         gamma = weights_mod.gamma_plus_W(odata)
         ok, _ = weights_mod.check_star(space, cw, gamma)
         if not ok:
             continue
         certified += 1
-        sub = weights_mod.specialization_consistency(odata, weight_data, cw)
+        sub = weights_mod.specialization_consistency(odata, weight_data, cw,
+                                                     gamma)
         report.checked += sub.checked
         report.violations.extend(sub.violations)
     report.notes["certified_orders"] = certified
@@ -401,20 +398,26 @@ def _report_json(report):
     return obj
 
 
+def chars_by_two_sided(result):
+    """Left-cell character decompositions grouped by two-sided block:
+    block index -> decompositions, in left-cell order.  ``result`` is a
+    RunResult or a scan Region with characters."""
+    out = {}
+    for blk, mults in zip(result.left.blocks, result.left_chars):
+        out.setdefault(result.two_sided.block_of[blk[0]], []).append(mults)
+    return out
+
+
 def _two_sided_labels(result):
     """Display labels for two-sided blocks from their cell characters."""
     from collections import Counter
 
+    by_ts = chars_by_two_sided(result)
     names = []
-    for t, blk in enumerate(result.two_sided.blocks):
-        consts = Counter()
-        cell_count = 0
-        for ci, lblk in enumerate(result.left.blocks):
-            if result.two_sided.block_of[lblk[0]] == t:
-                cell_count += 1
-                for lab, _ in result.left_chars[ci]:
-                    consts[lab] += 1
-        common = sorted(lab for lab, k in consts.items() if k == cell_count)
+    for t in range(len(result.two_sided.blocks)):
+        cells = by_ts.get(t, [])
+        consts = Counter(lab for mults in cells for lab, _ in mults)
+        common = sorted(lab for lab, k in consts.items() if k == len(cells))
         names.append("&".join(common) if common else f"#{t}")
     return names
 
@@ -423,19 +426,12 @@ def _two_sided_labels(result):
 # reference comparison (the published two-sided order diagrams)
 
 
-def load_reference_order(case):
+def load_reference(kind, case):
+    """Published F4 data for a case; ``kind`` is ``cellorder`` or
+    ``constructible``."""
     from importlib import resources
 
-    ref = resources.files("klcells").joinpath(f"data/cellorder/f4_{case}.json")
-    with ref.open("r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-def load_reference_constructible(case):
-    from importlib import resources
-
-    ref = resources.files("klcells").joinpath(
-        f"data/constructible/f4_{case}.json")
+    ref = resources.files("klcells").joinpath(f"data/{kind}/f4_{case}.json")
     with ref.open("r", encoding="utf-8") as fh:
         return json.load(fh)
 
@@ -453,14 +449,12 @@ def match_reference_order(result, case):
     edges must coincide under it.  ``result`` is a RunResult or a scan
     Region.  Returns (ok, detail dict).
     """
-    ref = load_reference_order(case)
+    ref = load_reference("cellorder", case)
     two_sided = result.two_sided
     if result.left_chars is None:
         return False, {"error": "no cell characters computed"}
-    computed = {}
-    for blk, mults in zip(result.left.blocks, result.left_chars):
-        t = two_sided.block_of[blk[0]]
-        computed.setdefault(t, set()).add(_char_key(mults))
+    computed = {t: set(map(_char_key, cells))
+                for t, cells in chars_by_two_sided(result).items()}
     ref_sets = {node["label"]: frozenset(_char_key(c) for c in node["cells"])
                 for node in ref["nodes"]}
     detail = {"case": case, "computed_blocks": len(computed),
@@ -493,7 +487,7 @@ def match_reference_order(result, case):
 
 def match_reference_constructible(result, case):
     """Set equality of computed cell characters with the published list."""
-    ref = load_reference_constructible(case)
+    ref = load_reference("constructible", case)
     want = {_char_key(c) for c in ref["characters"]}
     got = {_char_key(m) for m in result.left_chars}
     return got == want, {

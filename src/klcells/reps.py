@@ -27,6 +27,8 @@ from importlib import resources
 
 import numpy as np
 
+from .kl import KLError
+
 _INT64_GUARD = 1 << 26  # refuse int64 matmul once entries could overflow
 
 
@@ -198,7 +200,7 @@ def check_group_relations(sys, mats, dim):
     return bad
 
 
-def cell_character(sys, kl_data, cell, mu_by_sw=None, check_relations=False):
+def cell_character(sys, kl_data, cell, mu_by_sw=None):
     """Character of the W-representation carried by a left cell.
 
     Returns a list of integer values indexed by the system's conjugacy
@@ -206,10 +208,6 @@ def cell_character(sys, kl_data, cell, mu_by_sw=None, check_relations=False):
     """
     mats = cell_action_matrices_v1(sys, kl_data, cell, mu_by_sw)
     dim = len(cell)
-    if check_relations:
-        bad = check_group_relations(sys, mats, dim)
-        if bad:
-            raise AssertionError(f"cell module violates group relations: {bad}")
     values = []
     for rep, _ in sys.conjugacy_classes():
         prod = _word_product(mats, sys.words[rep], dim)
@@ -217,24 +215,25 @@ def cell_character(sys, kl_data, cell, mu_by_sw=None, check_relations=False):
         tr = int(tr)
         values.append(tr)
     if values[0] != dim:
-        raise AssertionError("character degree != cell size")
+        raise KLError("character degree != cell size")
     return values
 
 
-def all_cell_characters(sys, kl_data, left, check_relations=False):
+def all_cell_characters(sys, kl_data, left):
     """Characters of every left cell, plus the regular-character identity.
 
     The sum of all cell characters must be |W| on the identity class and
-    0 elsewhere; that is asserted here since it is an exact global check
-    on the M-table and the cell partition at once.
+    0 elsewhere; that is checked here (a failure raises ``KLError``)
+    since it is an exact global check on the M-table and the cell
+    partition at once.
     """
     mu_by_sw = kl_data.mu_by_sw()
-    chars = [cell_character(sys, kl_data, blk, mu_by_sw, check_relations)
+    chars = [cell_character(sys, kl_data, blk, mu_by_sw)
              for blk in left.blocks]
     total = [sum(col) for col in zip(*chars)]
     expect = [sys.size] + [0] * (len(total) - 1)
     if total != expect:
-        raise AssertionError(
+        raise KLError(
             f"cell characters do not sum to the regular character: {total}"
         )
     return chars

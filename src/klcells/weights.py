@@ -31,8 +31,7 @@ from functools import partial
 from . import cells as cells_mod
 from . import kl as kl_mod
 from . import reps as reps_mod
-from .coxeter import build_system
-from .laurent import MonomialOrder, MonomialSpace
+from .laurent import MonomialOrder, MonomialSpace, lex_order
 
 
 def numerator_coord(sys):
@@ -126,14 +125,12 @@ def gamma_plus_prime_W(kl_data, left, gamma):
     ``gamma`` is ``gamma_plus_W(kl_data)``; it is copied, not changed.
     Adds (a) the ratio of the top monomial of each P*_{1,w} to every
     lower monomial, and (b) the consecutive ratios of the sorted
-    distinct delta values inside each left cell.  Elements sharing a
-    delta value are recorded and simply excluded from the chain.
+    distinct delta values inside each left cell.
     """
     space = kl_data.space
     inv = space.inv
     key = kl_data.order.key
     out = set(gamma)
-    duplicates = []
     for w in range(1, kl_data.sys.size):
         p = kl_data.rows[w].get(0)
         if not p:
@@ -143,17 +140,15 @@ def gamma_plus_prime_W(kl_data, left, gamma):
             if m != top:
                 out.add(space.mul(top, inv(m)))
     for blk in left.blocks:
-        deltas = []
+        deltas = set()
         for w in blk:
             d = delta_of_element(kl_data, w)
             if d is not None:
-                deltas.append(d)
-        distinct = sorted(set(deltas), key=key)
-        if len(distinct) < len(deltas):
-            duplicates.append(blk[0])
+                deltas.add(d)
+        distinct = sorted(deltas, key=key)
         for a, b in zip(distinct, distinct[1:]):
             out.add(space.mul(inv(a), b))
-    return out, duplicates
+    return out
 
 
 def check_star(space, coord_weights, monomial_set):
@@ -231,8 +226,6 @@ class DistinguishedReport:
     """
 
     per_cell: list
-    delta: dict
-    n_of: dict
     violations: list
 
     @property
@@ -288,17 +281,16 @@ def distinguished_involutions(kl_data, left, coord_weights=None):
                                sys.word_text(d)))
         if not entry["n_unit"]:
             violations.append(("leading coefficient not a unit", ci, n_of[d]))
-    return DistinguishedReport(per_cell=per_cell, delta=delta, n_of=n_of,
-                               violations=violations)
+    return DistinguishedReport(per_cell=per_cell, violations=violations)
 
 
 def order_distinguished(kl_data, left):
     """Order-world variant: per cell, the unique element whose delta_w is
-    minimal for the generating order itself (no specialization)."""
+    minimal for the generating order itself (no specialization).
+    Returns the violations."""
     sys = kl_data.sys
     key = kl_data.order.key
     violations = []
-    per_cell = []
     for ci, blk in enumerate(left.blocks):
         deltas = {}
         for w in blk:
@@ -310,14 +302,11 @@ def order_distinguished(kl_data, left):
         else:
             dmin = min(deltas.values(), key=key)
             mins = [w for w in blk if deltas[w] == dmin]
-            d0 = mins[0]
-            per_cell.append({"cell": ci, "d": d0, "unique": len(mins) == 1,
-                             "involution": sys.mult(d0, d0) == 0})
             if len(mins) != 1:
                 violations.append(("non-unique order minimizer", ci))
-            if sys.mult(d0, d0) != 0:
+            if sys.mult(mins[0], mins[0]) != 0:
                 violations.append(("order minimizer not an involution", ci))
-    return per_cell, violations
+    return violations
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +316,6 @@ def order_distinguished(kl_data, left):
 @dataclass
 class Analysis:
     left: object                 # left cells (CellPartition)
-    edges: list                  # elementary left-relation edges
     two_sided: object
     left_chars: list | None      # character decomposition per left cell
     distinguished: DistinguishedReport | None
@@ -353,24 +341,23 @@ def analyse(sys, kl_data, coord_weights, chart):
     distinguished = None
     if coord_weights is not None:
         distinguished = distinguished_involutions(kl_data, left, coord_weights)
-    return Analysis(left, edges, two_sided, left_chars, distinguished)
+    return Analysis(left, two_sided, left_chars, distinguished)
 
 
 # ---------------------------------------------------------------------------
 # specialization consistency (the two-route cross-check)
 
 
-def specialization_consistency(order_data, weight_data, coord_weights):
+def specialization_consistency(order_data, weight_data, coord_weights, gamma):
     """Check the two computation routes agree under a certified map.
 
-    Requires the star condition for the order data's monomial set; then
-    asserts sigma(P*) and sigma(M) equal the directly computed
-    single-variable tables entrywise, and that sigma kills no nonzero M.
-    Returns a CheckReport.
+    Requires the star condition for the order data's monomial set
+    ``gamma`` (``gamma_plus_W(order_data)``); then asserts sigma(P*) and
+    sigma(M) equal the directly computed single-variable tables
+    entrywise, and that sigma kills no nonzero M.  Returns a CheckReport.
     """
     report = kl_mod.CheckReport("specialization-consistency")
     space = order_data.space
-    gamma = gamma_plus_W(order_data)
     ok, viol = check_star(space, coord_weights, gamma)
     if not ok:
         report.violations.append(("star condition fails", viol[:5]))
@@ -496,28 +483,12 @@ def _order_for_ratio(space, ratio, num_coord):
     return MonomialOrder(space, [tuple(f1), tuple(f2)])
 
 
-def _pure_lex_num_dominant(space, num_coord):
-    f1 = [0, 0]
-    f1[num_coord] = 1
-    f2 = [0, 0]
-    f2[1 - num_coord] = 1
-    return MonomialOrder(space, [tuple(f1), tuple(f2)])
-
-
-_SYSTEMS = {}   # spec -> system; the scan seeds it with the system it holds
-
-
-def _exact_region(spec, chart, ratio, weight):
+def _exact_region(sys, chart, ratio, weight):
     """The region at an exact breakpoint, from a single-variable run.
 
     The serial scan maps this over the breakpoints with ``map``, the
-    parallel scan with ``pool.map``.  The system comes from a memo
-    keyed by the spec: the serial scan and forked workers find the
-    scanned system there, a spawned worker builds it once.
+    parallel scan with ``pool.map``.
     """
-    sys = _SYSTEMS.get(spec)
-    if sys is None:
-        sys = _SYSTEMS[spec] = build_system(spec)
     _, params, order = kl_mod.weight_params(sys, weight)
     data = kl_mod.compute_kl(sys, params, order)
     found = analyse(sys, data, (1,), chart)
@@ -527,16 +498,16 @@ def _exact_region(spec, chart, ratio, weight):
                   distinguished=found.distinguished)
 
 
-def scan_equivalence_classes(sys, *, chartable_name=None, use_mirror=None,
+def scan_equivalence_classes(sys, *, chartable_name=None, use_mirror=True,
                              progress=None, jobs=1):
     """Partition all positive weight functions of a two-class system.
 
     Returns a :class:`ScanReport`.  ``chartable_name`` names a bundled
     character table and enables per-region left-cell character
-    decompositions (skipped on mirrored regions).  ``use_mirror``
-    controls whether ratios below 1 are obtained through a
-    class-swapping diagram automorphism (default: automatic when one
-    exists).  ``jobs`` > 1 computes the exact-ratio regions in a process
+    decompositions (skipped on mirrored regions).  With ``use_mirror``,
+    ratios below 1 are obtained through a class-swapping diagram
+    automorphism when one exists; without, they are scanned directly.
+    ``jobs`` > 1 computes the exact-ratio regions in a process
     pool; serial and parallel runs call the same function per region,
     and the merge is deterministic.
     """
@@ -552,15 +523,13 @@ def scan_equivalence_classes(sys, *, chartable_name=None, use_mirror=None,
     lw0 = sys.length[sys.longest]
     max_runs = 16 * lw0 * lw0 + 64
     swap_map = None
-    if use_mirror is not False:
+    if use_mirror:
         for perm in sys.diagram_automorphisms():
             # automorphisms map classes to classes: one generator tells
             if sys.class_of_gen[perm[0]] != sys.class_of_gen[0]:
                 swap_map = sys.element_map_for_auto(perm)
                 swap_perm = perm
                 break
-        if use_mirror and swap_map is None:
-            raise ScanError("no class-swapping diagram automorphism to mirror with")
     mirror = swap_map is not None
     bottom = Fraction(1) if mirror else Fraction(0)
 
@@ -592,13 +561,13 @@ def scan_equivalence_classes(sys, *, chartable_name=None, use_mirror=None,
         the open region (lo, hi)."""
         weight = weight_for_ratio(_mediant(lo, hi))
         found = analyse(sys, data, class_weights_of(sys, weight), chart)
-        gp, _ = gamma_plus_prime_W(data, found.left, gamma)
+        gp = gamma_plus_prime_W(data, found.left, gamma)
         try:
             glo, ghi, *_ = validity_interval(space, gp, num_coord)
             gp_validity = (glo, ghi)
         except ValueError:
             gp_validity = None
-        _, order_viol = order_distinguished(data, found.left)
+        order_viol = order_distinguished(data, found.left)
         open_region_list.append(Region(
             lo=lo, hi=hi, exact=False, weight=weight,
             functionals=order.functionals, left=found.left,
@@ -609,7 +578,7 @@ def scan_equivalence_classes(sys, *, chartable_name=None, use_mirror=None,
         ))
 
     # top region through the numerator-dominant pure lexicographic order
-    top_order = _pure_lex_num_dominant(space, num_coord)
+    top_order = lex_order(space, (num_coord, 1 - num_coord))
     data, top_gamma = probe(top_order, "pure lex")
     lo, hi, *_ = validity_interval(space, top_gamma, num_coord)
     if hi is not None:
@@ -617,10 +586,12 @@ def scan_equivalence_classes(sys, *, chartable_name=None, use_mirror=None,
     accept(lo, None, data, top_gamma, top_order, (lo, hi))
     del data
 
-    def tile(lo_bound, hi_bound, hint_gamma, depth=0):
-        """Cover the open interval (lo_bound, hi_bound) with regions."""
-        if depth > max_runs:
-            raise ScanError("scan recursion failed to terminate")
+    def tile(lo_bound, hi_bound, hint_gamma):
+        """Cover the open interval (lo_bound, hi_bound) with regions.
+
+        Every call that does not return at once makes one probe, so
+        ``max_runs`` also bounds the recursion.
+        """
         if lo_bound >= hi_bound:
             return
         guess = lo_bound
@@ -636,49 +607,39 @@ def scan_equivalence_classes(sys, *, chartable_name=None, use_mirror=None,
         if not (lo < rho and (hi is None or rho < hi)):
             # rho itself is critical for its own data; split around it
             del data
-            tile(rho, hi_bound, gamma, depth + 1)
-            tile(lo_bound, rho, gamma, depth + 1)
+            tile(rho, hi_bound, gamma)
+            tile(lo_bound, rho, gamma)
             return
         cover_lo = max(lo, lo_bound)
         cover_hi = hi_bound if hi is None else min(hi, hi_bound)
         accept(cover_lo, cover_hi, data, gamma, order, (lo, hi))
         del data
         if cover_hi < hi_bound:
-            tile(cover_hi, hi_bound, gamma, depth + 1)
+            tile(cover_hi, hi_bound, gamma)
         if cover_lo > lo_bound:
-            tile(lo_bound, cover_lo, gamma, depth + 1)
+            tile(lo_bound, cover_lo, gamma)
 
     tile(bottom, lo, top_gamma)
 
-    # exact regions at all interior boundaries (plus 1 itself when mirroring)
-    boundary = set()
-    for region in open_region_list:
-        if region.lo > bottom or (mirror and region.lo == Fraction(1)):
-            boundary.add(region.lo)
-        if region.hi is not None:
-            boundary.add(region.hi)
-    if mirror:
-        boundary.add(Fraction(1))
-    breakpoints = sorted(boundary)
+    # exact regions at the nonzero finite ends of the open regions; with
+    # the mirror the lowest open region starts at 1
+    breakpoints = sorted({end for reg in open_region_list
+                          for end in (reg.lo, reg.hi) if end})
     for bp in breakpoints:
         if not (0 < bp.numerator < 2 * lw0 and 0 < bp.denominator < 2 * lw0):
             raise ScanError(f"breakpoint {bp} outside the theoretical range")
 
     regions = list(open_region_list)
     note(f"exact runs at {len(breakpoints)} breakpoints, jobs={jobs}")
-    exact_run = partial(_exact_region, sys.spec, chart)
+    exact_run = partial(_exact_region, sys, chart)
     bp_weights = [weight_for_ratio(bp) for bp in breakpoints]
-    _SYSTEMS[sys.spec] = sys
-    try:
-        if jobs > 1:
-            from concurrent.futures import ProcessPoolExecutor
+    if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                regions.extend(pool.map(exact_run, breakpoints, bp_weights))
-        else:
-            regions.extend(map(exact_run, breakpoints, bp_weights))
-    finally:
-        del _SYSTEMS[sys.spec]
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            regions.extend(pool.map(exact_run, breakpoints, bp_weights))
+    else:
+        regions.extend(map(exact_run, breakpoints, bp_weights))
     runs += len(breakpoints)
 
     if mirror:

@@ -78,6 +78,46 @@ def test_archive_golden_bytes(tmp_path, case):
     assert got == digests
 
 
+# sha256 of every file that `scan --chars` writes; I2:6 covers the
+# mirrored regions
+SCAN_GOLDEN = {
+    "b3": ("B3", {
+        "region_00.dot": "42070b5e11fbd3f696a6cf9960701332ccefeb7a261d1e00e3353facaf4be10a",
+        "region_00_cells.json": "a9b318baa20622fa014abc881d5cbad4c248622d2302bd2d0a084e08da78c62f",
+        "region_01.dot": "e13a61c1e19a1cad909ac673a47e2e95ff6a452a1c5c16e5b982b84e859f7ee0",
+        "region_01_cells.json": "dc62143b02d4ca7a1a3a59a3fc2c6f953f9f2b2d68f3fe08f8d6f346ae125969",
+        "region_02.dot": "52aab8fe5ff3df68ef1cd8478700ad3af9d4f6d4f20d4c2655f44a39a5872647",
+        "region_02_cells.json": "6f01ac64f9a6ddbf00d5e22793bb3279552b30914502600cbdbdc3e4ff3ea6f4",
+        "region_03.dot": "0a528d57400aef6691e0dc8907ba32598532ef64c62dd42afe55b62039625329",
+        "region_03_cells.json": "33a613916443f8cb92e43046d164074a5ea6125eda797b7d60dc76d523dcae8f",
+        "region_04.dot": "1c6a357ba60818cebe5d00e1f6e24cb19c13951469abebf19922fbbeed5cff7a",
+        "region_04_cells.json": "c6791145f030126d597cb8ea727bcd7caa957ace7130c997cadc8ac36b2a4374",
+        "scan.json": "167b6880be7f443edfaeb0d889e4e2c4f0330bd37fecf3eb97009d8ce126093a",
+        "scan.txt": "35fe1c8fb85331216eeb1c462bf380efaeed94b229b421dd4efe3848cb7f8847",
+    }),
+    "i2_6": ("I2:6", {
+        "region_00.dot": "f096f0b692c10551759ac1821e5aa948d9ec5b78fbaed58804be1b1c574e34ca",
+        "region_00_cells.json": "8e7d02daf9e8ee8a407301f2baf0eec452e8217d01af875ebd1fda6d5c5b1427",
+        "region_01.dot": "28fd586bb1495bf4251dcf78a940d1d2733480ff1946090a7e452534882809a5",
+        "region_01_cells.json": "48860be21d9bfdd4660d0bcedf838aa5c7936a0c9a9cbd9eb7890a3749b3d36a",
+        "region_02.dot": "fbf3f187d60a45c7d26522095be5ee9be995718952b3cac09a4ac93eecd9f278",
+        "region_02_cells.json": "f85dc1b34cddea30288a95f76d4946f7c9bb7637fc633f80f5a9169548ffc006",
+        "scan.json": "75f0eabdcfc464c736afcba60982942e44598d1a578cb5f0496dbbb9c8489ee9",
+        "scan.txt": "d99e254f87bdbb34967e9bab20b2ce4abd763443838869d4364c72f2e1312789",
+    }),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCAN_GOLDEN))
+def test_scan_golden_bytes(tmp_path, capsys, case):
+    name, digests = SCAN_GOLDEN[case]
+    assert cli.main(["scan", "--type", name, "--chars",
+                     "--out", str(tmp_path)]) == 0
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in (tmp_path / "scan").iterdir()}
+    assert got == digests
+
+
 def _compute(root, *extra):
     return cli.main(["compute", "--type", "I2:4", "--weight", "2,1",
                      "--out", str(root), *extra])

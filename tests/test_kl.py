@@ -316,7 +316,8 @@ def test_weight_mode_matches_specialized_order_mode(i26):
     odata = kl.compute_kl(i26, params, order)
     _, w, worder = kl.weight_params(i26, (3, 1))
     wdata = kl.compute_kl(i26, w, worder)
-    rep = weights.specialization_consistency(odata, wdata, (3, 1))
+    rep = weights.specialization_consistency(odata, wdata, (3, 1),
+                                             weights.gamma_plus_W(odata))
     assert rep.ok and rep.checked > 50
 
 

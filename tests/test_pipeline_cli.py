@@ -167,6 +167,29 @@ def test_character_table_that_does_not_fit_exits_1(tmp_path, capsys,
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("argv", [
+    ["compute", "--type", "B3", "--weight", "2,1,1"],
+    ["scan", "--type", "B3", "--chars"],
+])
+def test_character_post_condition_exits_1(tmp_path, capsys, monkeypatch,
+                                          argv):
+    # cell characters that do not sum to the regular character fail a
+    # post-condition: one error line, exit 1, and no entry or scan files
+    real = reps.cell_character
+
+    def wrong(*args, **kwargs):
+        values = real(*args, **kwargs)
+        return values[:1] + [v + 1 for v in values[1:]]
+
+    monkeypatch.setattr(reps, "cell_character", wrong)
+    out = tmp_path / "runs"
+    assert cli.main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(
+        "error: cell characters do not sum to the regular character: ")
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_cli_import_does_not_load_scipy():
     # scipy is imported by the bar-identity check only, so it stays out of
     # the start-up time of every command

@@ -72,13 +72,15 @@ def test_trivial_and_sign_cells():
         mu_idx = data.mu_by_sw()
         triv = left.blocks[left.block_of[0]]
         assert triv == (0,)
-        values = reps.cell_character(sys, data, triv, mu_idx,
-                                     check_relations=True)
+        mats = reps.cell_action_matrices_v1(sys, data, triv, mu_idx)
+        assert not reps.check_group_relations(sys, mats, len(triv))
+        values = reps.cell_character(sys, data, triv, mu_idx)
         assert all(v == 1 for v in values)
         sign_cell = left.blocks[left.block_of[sys.longest]]
         assert sign_cell == (sys.longest,)
-        values = reps.cell_character(sys, data, sign_cell, mu_idx,
-                                     check_relations=True)
+        mats = reps.cell_action_matrices_v1(sys, data, sign_cell, mu_idx)
+        assert not reps.check_group_relations(sys, mats, len(sign_cell))
+        values = reps.cell_character(sys, data, sign_cell, mu_idx)
         reps_classes = sys.conjugacy_classes()
         assert values == [(-1) ** sys.length[rep] for rep, _ in reps_classes]
 
@@ -110,8 +112,11 @@ def test_regular_character_sum():
                                      ("A3", (1, 1, 1), "a3"),
                                      ("B3", (2, 1, 1), "b3")):
         sys, data, left = weight_run(name, weight)
-        chars = reps.all_cell_characters(sys, data, left,
-                                         check_relations=(sys.size <= 24))
+        chars = reps.all_cell_characters(sys, data, left)
+        if sys.size <= 24:
+            for blk in left.blocks:
+                mats = reps.cell_action_matrices_v1(sys, data, blk)
+                assert not reps.check_group_relations(sys, mats, len(blk))
         table = reps.load_bundled_table(table_name)
         class_map = reps.table_for_system(sys, table)
         degrees = {}
@@ -153,7 +158,7 @@ def test_b2a_box_has_no_common_constituent():
     1_3 at b = 2a have no irreducible constituent in common."""
     from klcells import pipeline
 
-    ref = pipeline.load_reference_constructible("b2a")
+    ref = pipeline.load_reference("constructible", "b2a")
     box = [dict(c) for c in ref["characters"]
            if dict(c) in ({"1_3": 1, "8_3": 1}, {"2_1": 1, "9_1": 1},
                           {"9_1": 1, "8_3": 1})]

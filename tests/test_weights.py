@@ -88,9 +88,12 @@ def test_validity_interval():
 def test_gamma_plus_prime_contains_gamma():
     sys, space, data, left = lex_run("I2:4")
     gamma = weights.gamma_plus_W(data)
-    gp, dups = weights.gamma_plus_prime_W(data, left, gamma)
+    gp = weights.gamma_plus_prime_W(data, left, gamma)
     assert gamma <= gp
-    assert not dups
+    # the delta values within each left cell are distinct
+    for blk in left.blocks:
+        deltas = [weights.delta_of_element(data, w) for w in blk]
+        assert len(set(deltas)) == len(deltas), blk
     # delta of the identity is trivial; top monomials invert correctly
     assert weights.delta_of_element(data, 0) == space.one
     for w in range(1, sys.size):
@@ -134,7 +137,7 @@ def test_specialization_consistency_certified(b3):
     wt = weights.weight_from_class_values(b3, cw)
     _, w1, worder = kl.weight_params(b3, wt)
     wdata = kl.compute_kl(b3, w1, worder)
-    rep = weights.specialization_consistency(odata, wdata, cw)
+    rep = weights.specialization_consistency(odata, wdata, cw, gamma)
     assert rep.ok
 
 
@@ -243,11 +246,6 @@ def test_asymptotic_class_bound(b3):
     assert top.lo == 2
 
 
-def test_mirror_requires_automorphism(b3):
-    with pytest.raises(weights.ScanError):
-        weights.scan_equivalence_classes(b3, use_mirror=True)
-
-
 def test_refinement_helpers(i24):
     _, _, _, left = lex_run("I2:4")
     assert weights.check_refinement(left, left) == []
@@ -282,7 +280,7 @@ def test_f4_pure_lex_gamma_set(f4):
     assert all(abs(v) <= 23 for v in rep.notes["max_exponents"])
     # the enlarged set needs b/a > 9
     left, _ = cells.left_cells(f4, data.mu)
-    gp, _ = weights.gamma_plus_prime_W(data, left, gamma)
+    gp = weights.gamma_plus_prime_W(data, left, gamma)
     glo, ghi, *_ = weights.validity_interval(space, gp, 1)
     assert (glo, ghi) == (Fraction(9), None)
 
@@ -299,7 +297,8 @@ def test_f4_specialization_consistency_sampled(f4):
     odata = kl.compute_kl(f4, params, order)
     _, w1, worder = kl.weight_params(f4, (1, 1, 5, 5))
     wdata = kl.compute_kl(f4, w1, worder)
-    rep = weights.specialization_consistency(odata, wdata, (1, 5))
+    rep = weights.specialization_consistency(
+        odata, wdata, (1, 5), weights.gamma_plus_W(odata))
     assert rep.ok and rep.checked > 400000
 
 
