@@ -19,91 +19,47 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
-@dataclass(frozen=True)
-class Edge:
-    src: int
-    dst: int
-    gen: int
-    reason: str  # "descent" or "mu" (with "-inv" suffix on inverted copies)
-
-
 def left_edges(sys, mu):
-    """Elementary left-relation edges (src <=_L dst), deterministically ordered."""
-    edges = []
+    """Elementary left-relation edges, as the set of pairs (src, dst)
+    with src <=_L dst."""
     length = sys.length
-    for y in range(sys.size):
-        ly = length[y]
-        for s in range(sys.rank):
-            w = sys.cayley_left[s][y]
-            if length[w] > ly:
-                edges.append(Edge(w, y, s, "descent"))
-    for (s, y, w) in sorted(mu):
-        edges.append(Edge(y, w, s, "mu"))
-    edges.sort(key=lambda e: (e.src, e.dst, e.gen))
+    edges = {(w, y) for left_s in sys.cayley_left
+             for y, w in enumerate(left_s) if length[w] > length[y]}
+    edges.update((y, w) for (_, y, w) in mu)
     return edges
 
 
-def two_sided_edges(sys, edges):
-    """Left edges plus the image of each under elementwise inversion."""
-    inv = sys.inverse
-    seen = {(e.src, e.dst) for e in edges}
-    out = list(edges)
-    for e in edges:
-        pair = (inv[e.src], inv[e.dst])
-        if pair not in seen:
-            seen.add(pair)
-            out.append(Edge(pair[0], pair[1], e.gen, e.reason + "-inv"))
-    out.sort(key=lambda e: (e.src, e.dst, e.gen))
-    return out
-
-
-def _strongly_connected(n, adj):
-    """Tarjan's algorithm, iterative; returns (component id per node, count)."""
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    comp = [-1] * n
-    stack = []
-    counter = 0
-    ncomp = 0
+def _strongly_connected(n, edges):
+    """Kosaraju's algorithm, iterative; returns the components as lists."""
+    succ = [[] for _ in range(n)]
+    pred = [[] for _ in range(n)]
+    for a, b in edges:
+        succ[a].append(b)
+        pred[b].append(a)
+    seen = [False] * n
+    finished = []               # in order of completion of the forward DFS
     for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            recurse = False
-            targets = adj[v]
-            for i in range(pi, len(targets)):
-                u = targets[i]
-                if index[u] == -1:
-                    work[-1] = (v, i + 1)
-                    work.append((u, 0))
-                    recurse = True
-                    break
-                if on_stack[u] and low[u] < low[v]:
-                    low[v] = low[u]
-            if recurse:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                while True:
-                    u = stack.pop()
-                    on_stack[u] = False
-                    comp[u] = ncomp
-                    if u == v:
-                        break
-                ncomp += 1
-            if work:
-                p, _ = work[-1]
-                if low[v] < low[p]:
-                    low[p] = low[v]
-    return comp, ncomp
+        stack = [] if seen[root] else [(root, iter(succ[root]))]
+        seen[root] = True
+        while stack:
+            u = next((u for u in stack[-1][1] if not seen[u]), None)
+            if u is None:
+                finished.append(stack.pop()[0])
+            else:
+                seen[u] = True
+                stack.append((u, iter(succ[u])))
+    comps = []
+    for root in reversed(finished):     # backward search; clears ``seen``
+        if seen[root]:
+            seen[root] = False
+            comp = [root]
+            for v in comp:              # comp grows while it is walked
+                for u in pred[v]:
+                    if seen[u]:
+                        seen[u] = False
+                        comp.append(u)
+            comps.append(comp)
+    return comps
 
 
 @dataclass
@@ -158,22 +114,11 @@ def partition_of_blocks(sys, kind, blocks):
                          block_of=tuple(block_of))
 
 
-def _condense(sys, edge_list, kind):
-    n = sys.size
-    adj = [[] for _ in range(n)]
-    for e in edge_list:
-        adj[e.src].append(e.dst)
-    comp, ncomp = _strongly_connected(n, adj)
-    raw_blocks = [[] for _ in range(ncomp)]
-    for v in range(n):
-        raw_blocks[comp[v]].append(v)
-    part = partition_of_blocks(sys, kind, raw_blocks)
+def _condense(sys, edges, kind):
+    part = partition_of_blocks(sys, kind, _strongly_connected(sys.size, edges))
     block_of = part.block_of
-    dag = set()
-    for e in edge_list:
-        a, b = block_of[e.src], block_of[e.dst]
-        if a != b:
-            dag.add((a, b))
+    dag = {(block_of[a], block_of[b]) for a, b in edges
+           if block_of[a] != block_of[b]}
     part.reduction = _transitive_reduction(len(part.blocks), dag)
     return part
 
@@ -216,8 +161,11 @@ def left_cells(sys, mu):
 
 
 def two_sided_cells(sys, edges):
-    ts_edges = two_sided_edges(sys, edges)
-    return _condense(sys, ts_edges, "two_sided")
+    """Two-sided cells of the left edges together with their images
+    under elementwise inversion."""
+    inv = sys.inverse
+    return _condense(sys, edges | {(inv[a], inv[b]) for a, b in edges},
+                     "two_sided")
 
 
 def right_cells(sys, left):

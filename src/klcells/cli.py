@@ -22,7 +22,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import kl as kl_mod
-from . import pipeline, reps, weights
+from . import cells, pipeline, reps, weights
 from .coxeter import CoxeterError, build_system
 
 
@@ -35,20 +35,22 @@ def _parse_order(text):
                  for row in text.replace(" ", "").split(";"))
 
 
-def _apply_config_file(args, parser, argv):
-    """Fill options from a JSON config file; explicit flags win."""
-    if not getattr(args, "config", None):
-        return args
-    with open(args.config, "r", encoding="utf-8") as fh:
-        blob = json.load(fh)
-    given = {a.split("=", 1)[0] for a in argv if a.startswith("--")}
-    for key, val in blob.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+def _config_defaults(args, parser):
+    """Options of the JSON config file, keyed by destination; a file
+    that cannot be read as a JSON object, or a key that names no option
+    of the subcommand, is a usage error."""
+    try:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            blob = json.load(fh)
+    except (OSError, ValueError) as exc:
+        parser.error(f"cannot read config file {args.config}: {exc}")
+    if not isinstance(blob, dict):
+        parser.error(f"config file {args.config} does not hold an object")
+    options = vars(args).keys() - {"command", "func"}
+    for key in blob:
+        if key.replace("-", "_") not in options:
             parser.error(f"unknown config key {key!r}")
-        if f"--{key}" not in given and f"--{attr}" not in given:
-            setattr(args, attr, val)
-    return args
+    return {key.replace("-", "_"): val for key, val in blob.items()}
 
 
 def _run_config_from_args(args):
@@ -119,16 +121,15 @@ def cmd_compute(args, parser):
 
 def cmd_scan(args, parser):
     sys_ = build_system(args.type, cap=args.cap)
-    table_name = None
+    chart = None
     if args.chars:
-        table_name = pipeline.table_name_for(args.type)
-        if table_name is None:
+        chart = pipeline.chart_for(sys_)
+        if chart is None:
             parser.error(f"no bundled character table for {args.type}")
     progress = (lambda m: print("  " + m, file=_sysmod.stderr)) \
         if args.verbose else None
     report = weights.scan_equivalence_classes(
-        sys_, chartable_name=table_name,
-        use_mirror=not args.no_mirror,
+        sys_, chart=chart, use_mirror=not args.no_mirror,
         progress=progress, jobs=args.jobs)
     outdir = pipeline.write_scan(report, Path(args.out) / "scan", sys_)
     print(pipeline.scan_to_text(report), end="")
@@ -173,11 +174,12 @@ def cmd_check(args, parser):
         # refines into the chambers adjacent to it on the ratio line
         eq, b2a = results["equal"], results["b2a"]
         betw, bey = results["between"], results["beyond"]
-        line(not weights.check_refinement(eq.left, betw.left),
+        refines = cells.check_union_refinement
+        line(not refines(eq.left, betw.left),
              "F4: cells at a=b are unions of cells at 2a>b>a")
-        line(not weights.check_refinement(b2a.left, bey.left),
+        line(not refines(b2a.left, bey.left),
              "F4: cells at b=2a are unions of cells at b>2a")
-        line(not weights.check_refinement(b2a.left, betw.left),
+        line(not refines(b2a.left, betw.left),
              "F4: cells at b=2a are unions of cells at 2a>b>a")
         return min(failures, 255)
 
@@ -229,16 +231,18 @@ def cmd_dump(args, parser):
     path = src / table
     if not path.exists():
         parser.error(f"{path} does not exist")
+    pair = slice(1, 3) if args.table == "mu" else slice(0, 2)  # y, w
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
-            if args.element and f"\t{args.element}\t" not in line \
-                    and not line.startswith(args.element + "\t"):
+            if args.element and args.element not in line.split("\t")[pair]:
                 continue
             print(line, end="")
     return 0
 
 
-def build_parser():
+def build_parser(defaults=None):
+    """The argument parser; ``defaults`` replace the option defaults of
+    every subcommand (explicit flags still win)."""
     parser = argparse.ArgumentParser(
         prog="klcells",
         description="Kazhdan-Lusztig bases, M-polynomials and cells of "
@@ -297,27 +301,32 @@ def build_parser():
     p = sub.add_parser("dump", help="print stored tables")
     p.add_argument("--archive", required=True)
     p.add_argument("--table", choices=("p", "mu"), default="p")
-    p.add_argument("--element", help="filter rows touching this word")
+    p.add_argument("--element", help="filter rows whose y or w is this word")
     p.set_defaults(func=cmd_dump)
+    for p in sub.choices.values():
+        p.set_defaults(**(defaults or {}))
     return parser
 
 
 def main(argv=None):
-    import sys as _s
     parser = build_parser()
     args = parser.parse_args(argv)
-    if hasattr(args, "config"):
-        args = _apply_config_file(args, parser,
-                                  argv if argv is not None else _s.argv[1:])
+    if getattr(args, "config", None):
+        # the file's values become defaults, so argparse lets every
+        # explicit flag win, however it is spelled
+        parser = build_parser(_config_defaults(args, parser))
+        args = parser.parse_args(argv)
     try:
         return args.func(args, parser)
-    except (reps.CharacterDataError, kl_mod.KLError, OverflowError) as exc:
-        # a failed post-condition, a check that cannot run exactly, or a
-        # bundled character table that does not fit the system (a
-        # CharacterDataError is a ValueError, hence this clause first)
+    except (reps.CharacterDataError, kl_mod.KLError, OverflowError,
+            weights.ScanError) as exc:
+        # a failed post-condition of the tables or of the scan, a check
+        # that cannot run exactly, or a bundled character table that does
+        # not fit the system (a CharacterDataError is a ValueError, hence
+        # this clause first)
         print(f"error: {exc}", file=_sysmod.stderr)
         return 1
-    except (CoxeterError, weights.ScanError, ValueError) as exc:
+    except (CoxeterError, ValueError) as exc:
         print(f"error: {exc}", file=_sysmod.stderr)
         return 2
 

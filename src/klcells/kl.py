@@ -214,6 +214,13 @@ def _half_row(sys, rows, s, u, order, vs, lower, intern, products):
     return {x: p for x, p in E.items() if p}, mu_local
 
 
+def _interner():
+    """A function mapping each polynomial to the one shared dict equal
+    to it."""
+    interned = {}
+    return lambda p: interned.setdefault(frozenset(p.items()), p)
+
+
 def compute_kl(sys, params, order, *, progress=None):
     """Compute all P*_{y,w} and all nonzero M^s_{y,w}.
 
@@ -242,11 +249,7 @@ def compute_kl(sys, params, order, *, progress=None):
     space = order.space
     one = space.one
     vinv = tuple(space.inv(v) for v in params)
-    interned = {}
-
-    def intern(p):
-        return interned.setdefault(frozenset(p.items()), p)
-
+    intern = _interner()
     shifted = [{} for _ in params]    # [s][id(p)] = v_s^-1 p, p interned
 
     def down(p, s):
@@ -340,11 +343,7 @@ def compute_r(sys, params, space):
     """
     one = space.one
     length = sys.length
-    interned = {}
-
-    def intern(p):
-        return interned.setdefault(frozenset(p.items()), p)
-
+    intern = _interner()
     rows = [{0: intern({one: 1})}]
     steps = {}
     for y in range(1, sys.size):

@@ -309,16 +309,12 @@ def mono_text(space, m):
     return "*".join(parts) if parts else "1"
 
 
-def poly_text(space, p, order=None):
+def poly_text(space, p, order):
     """Human form ``c*x^i*y^j + ...`` sorted descending by the order."""
     if not p:
         return "0"
-    if order is not None:
-        monos = sorted(p, key=order.key, reverse=True)
-    else:
-        monos = sorted(p, key=space.unpack, reverse=True)
     parts = []
-    for m in monos:
+    for m in sorted(p, key=order.key, reverse=True):
         c = p[m]
         mt = mono_text(space, m)
         if mt == "1":
@@ -334,13 +330,11 @@ def poly_text(space, p, order=None):
     return " ".join(parts)
 
 
-def poly_json(space, p, order=None):
-    """JSON form: list of [exponent-vector, coefficient], sorted descending."""
-    if order is not None:
-        monos = sorted(p, key=order.key, reverse=True)
-    else:
-        monos = sorted(p, key=space.unpack, reverse=True)
-    return [[list(space.unpack(m)), p[m]] for m in monos]
+def poly_json(space, p, order):
+    """JSON form: list of [exponent-vector, coefficient], sorted descending
+    by the order."""
+    return [[list(space.unpack(m)), p[m]]
+            for m in sorted(p, key=order.key, reverse=True)]
 
 
 def poly_from_terms(space, terms):

@@ -80,16 +80,12 @@ class RunConfig:
 
 
 @dataclass
-class RunResult:
+class RunResult(weights_mod.Analysis):
     config: RunConfig
     sys: object
     kl: object
-    left: object
     right: object
-    two_sided: object
     gamma: set
-    left_chars: list | None = None      # decompositions per left cell
-    distinguished: object | None = None
     reports: dict = field(default_factory=dict)
 
     @property
@@ -97,23 +93,23 @@ class RunResult:
         return all(getattr(r, "ok", True) for r in self.reports.values())
 
 
-def table_name_for(sys_name):
-    """Bundled character-table name for a type string, or None."""
-    return _TABLE_FOR_TYPE.get(sys_name.replace("_", "").upper()
-                               .replace("I2(", "I2:").rstrip(")"))
-
-
-def chartable_for(sys_name):
-    key = table_name_for(sys_name)
-    return None if key is None else reps_mod.load_bundled_table(key)
+def chart_for(sys):
+    """``(table, class_map)`` of the character table bundled for the
+    system's type, or None when there is none; a table that does not fit
+    the system raises ``CharacterDataError``."""
+    key = _TABLE_FOR_TYPE.get(sys.spec.name.replace("_", "").upper()
+                              .replace("I2(", "I2:").rstrip(")"))
+    if key is None:
+        return None
+    table = reps_mod.load_bundled_table(key)
+    return table, reps_mod.table_for_system(sys, table)
 
 
 def run_pipeline(config, sys=None, progress=None):
     """Compute and analyse one configuration, then run its checks.
 
     The analysis is ``weights.analyse``, the same path every scan region
-    takes; a character table that is bundled for the type but does not
-    fit the system raises ``CharacterDataError``.
+    takes, with the character table of ``chart_for``.
     """
     if sys is None:
         sys = build_system(config.system, cap=config.cap)
@@ -125,17 +121,12 @@ def run_pipeline(config, sys=None, progress=None):
         order = MonomialOrder(space, config.order_functionals)
     data = kl_mod.compute_kl(sys, params, order, progress=progress)
     gamma = weights_mod.gamma_plus_W(data)
-    table = chartable_for(config.system)
-    chart = None if table is None else (
-        table, reps_mod.table_for_system(sys, table))
     # an order run on a multi-class space has no coordinate weights
-    found = weights_mod.analyse(sys, data,
-                                (1,) if space.rank == 1 else None, chart)
-    result = RunResult(config=config, sys=sys, kl=data, left=found.left,
+    found = weights_mod.analyse(sys, data, (1,) if space.rank == 1 else None,
+                                chart_for(sys))
+    result = RunResult(**vars(found), config=config, sys=sys, kl=data,
                        right=cells_mod.right_cells(sys, found.left),
-                       two_sided=found.two_sided, gamma=gamma,
-                       left_chars=found.left_chars,
-                       distinguished=found.distinguished)
+                       gamma=gamma)
 
     checks = set(config.checks)
     if "lemmas" in checks:
@@ -181,9 +172,7 @@ def _cross_check_weight(sys, config, weight_data):
     _, params = kl_mod.class_params(sys, space)
     certified = 0
     for tie_coord in (0, 1):
-        f2 = [0, 0]
-        f2[tie_coord] = 1
-        order = MonomialOrder(space, [tuple(cw), tuple(f2)])
+        order = weights_mod.weighted_order(space, cw, tie_coord)
         odata = kl_mod.compute_kl(sys, params, order)
         gamma = weights_mod.gamma_plus_W(odata)
         ok, _ = weights_mod.check_star(space, cw, gamma)
@@ -400,8 +389,8 @@ def _report_json(report):
 
 def chars_by_two_sided(result):
     """Left-cell character decompositions grouped by two-sided block:
-    block index -> decompositions, in left-cell order.  ``result`` is a
-    RunResult or a scan Region with characters."""
+    block index -> decompositions, in left-cell order.  ``result`` is an
+    ``Analysis`` with characters."""
     out = {}
     for blk, mults in zip(result.left.blocks, result.left_chars):
         out.setdefault(result.two_sided.block_of[blk[0]], []).append(mults)
@@ -446,8 +435,8 @@ def match_reference_order(result, case):
     Each computed two-sided block is identified by the set of distinct
     left-cell characters it carries; that set must match exactly one
     reference node, the matching must be a bijection, and the Hasse
-    edges must coincide under it.  ``result`` is a RunResult or a scan
-    Region.  Returns (ok, detail dict).
+    edges must coincide under it.  ``result`` is an ``Analysis``.
+    Returns (ok, detail dict).
     """
     ref = load_reference("cellorder", case)
     two_sided = result.two_sided

@@ -219,10 +219,10 @@ def breakpoint_candidates(space, monomial_set, num_coord):
 class DistinguishedReport:
     """Per-cell minimizer data for the degree function Delta.
 
-    Delta(w) = -(top v-degree of the specialized P*_{1,w}); n_w is the
-    coefficient there.  For each left cell the report records the
-    minimizer and whether it is unique, an involution, and has n = +-1.
-    Failures are findings, not crashes.
+    Delta(w) = -(top degree of P*_{1,w}); n_w is the coefficient there.
+    For each left cell the report records the minimizer and whether it
+    is unique, an involution, and has n = +-1.  Failures are findings,
+    not crashes.
     """
 
     per_cell: list
@@ -232,35 +232,39 @@ class DistinguishedReport:
     def ok(self):
         return not self.violations
 
-    def distinguished_elements(self):
-        return sorted(c["d"] for c in self.per_cell)
-
 
 def distinguished_involutions(kl_data, left, coord_weights=None):
+    """Minimize Delta over each left cell.
+
+    With ``coord_weights`` the data is first specialized along
+    v_s -> v^L(s) and Delta is an integer; with None, delta_w is
+    compared in the data's own generating order (for one-variable data
+    the two readings agree with coordinate weights (1,)).
+    """
     sys = kl_data.sys
     space = kl_data.space
-    if coord_weights is None:
-        if space.rank != 1:
-            raise ValueError("coordinate weights required for multi-variable data")
-        coord_weights = (1,)
-    delta = {0: 0}
+    order = kl_data.order
+    if coord_weights is not None:
+        order = MonomialOrder(MonomialSpace(1), [(1,)])
+    key, inv = order.key, order.space.inv
+    delta = {0: order.space.one}
     n_of = {0: 1}
     for w in range(1, sys.size):
         p = kl_data.rows[w].get(0)
         if not p:
             continue
-        sp = specialize_poly(space, coord_weights, p)
-        top = max(sp)
-        delta[w] = -top
-        n_of[w] = sp[top]
+        if coord_weights is not None:
+            p = specialize_poly(space, coord_weights, p)
+        top = max(p, key=key)
+        delta[w] = inv(top)
+        n_of[w] = p[top]
     per_cell = []
     violations = []
     for ci, blk in enumerate(left.blocks):
-        known = [w for w in blk if w in delta]
-        if len(known) != len(blk):
+        if any(w not in delta for w in blk):
             violations.append(("missing P*_{1,w}", ci))
             continue
-        dmin = min(delta[w] for w in blk)
+        dmin = min((delta[w] for w in blk), key=key)
         mins = [w for w in blk if delta[w] == dmin]
         d = mins[0]
         entry = {
@@ -284,37 +288,15 @@ def distinguished_involutions(kl_data, left, coord_weights=None):
     return DistinguishedReport(per_cell=per_cell, violations=violations)
 
 
-def order_distinguished(kl_data, left):
-    """Order-world variant: per cell, the unique element whose delta_w is
-    minimal for the generating order itself (no specialization).
-    Returns the violations."""
-    sys = kl_data.sys
-    key = kl_data.order.key
-    violations = []
-    for ci, blk in enumerate(left.blocks):
-        deltas = {}
-        for w in blk:
-            d = delta_of_element(kl_data, w)
-            if d is None:
-                violations.append(("missing P*_{1,w}", ci))
-                break
-            deltas[w] = d
-        else:
-            dmin = min(deltas.values(), key=key)
-            mins = [w for w in blk if deltas[w] == dmin]
-            if len(mins) != 1:
-                violations.append(("non-unique order minimizer", ci))
-            if sys.mult(mins[0], mins[0]) != 0:
-                violations.append(("order minimizer not an involution", ci))
-    return violations
-
-
 # ---------------------------------------------------------------------------
 # the analysis of one computed table
 
 
 @dataclass
 class Analysis:
+    """Cells, cell characters and distinguished involutions of one
+    table; the base of a pipeline run result and of a scan region."""
+
     left: object                 # left cells (CellPartition)
     two_sided: object
     left_chars: list | None      # character decomposition per left cell
@@ -390,7 +372,7 @@ def specialization_consistency(order_data, weight_data, coord_weights, gamma):
 
 
 @dataclass
-class Region:
+class Region(Analysis):
     """One scan region: an open ratio interval or an exact ratio."""
 
     lo: Fraction
@@ -398,11 +380,7 @@ class Region:
     exact: bool
     weight: tuple                # representative weight, per generator
     functionals: tuple | None    # order functionals (open regions)
-    left: object
-    two_sided: object
     validity: tuple | None = None    # certified interval of the gamma set
-    left_chars: list | None = None
-    distinguished: DistinguishedReport | None = None
     order_distinguished_ok: bool | None = None
     gamma_prime_validity: tuple | None = None
     by_symmetry: bool = False
@@ -451,7 +429,7 @@ class ScanReport:
 
 
 class ScanError(RuntimeError):
-    pass
+    """A post-condition of the scan failed."""
 
 
 def _mediant(lo, hi):
@@ -462,25 +440,19 @@ def _mediant(lo, hi):
                     lo.denominator + hi.denominator)
 
 
-def _order_for_ratio(space, ratio, num_coord):
-    """Weighted order used for an open region around the given ratio.
+def ratio_class_values(ratio, num_coord):
+    """Class values (a, b) of the ratio b/a, indexed by generator class."""
+    vals = [ratio.denominator] * 2
+    vals[num_coord] = ratio.numerator
+    return tuple(vals)
 
-    Primary functional a*i + b*j for (a, b) = (denominator, numerator)
-    of the ratio; ties broken by the two-case rule (numerator weight
-    >= denominator weight breaks by i > 0, otherwise by j > 0).  Open
-    regions never have certifying monomials on the tie line, so the
-    tiebreak is immaterial there; it is fixed for determinism.
-    """
-    den_coord = 1 - num_coord
-    a, b = ratio.denominator, ratio.numerator
-    f1 = [0, 0]
-    f1[den_coord], f1[num_coord] = a, b
-    f2 = [0, 0]
-    if b >= a:
-        f2[den_coord] = 1
-    else:
-        f2[num_coord] = 1
-    return MonomialOrder(space, [tuple(f1), tuple(f2)])
+
+def weighted_order(space, class_values, tie_coord):
+    """Order by the weight functional ``class_values``, ties broken by
+    the exponent of coordinate ``tie_coord``."""
+    tie = [0] * space.rank
+    tie[tie_coord] = 1
+    return MonomialOrder(space, [tuple(class_values), tuple(tie)])
 
 
 def _exact_region(sys, chart, ratio, weight):
@@ -492,31 +464,25 @@ def _exact_region(sys, chart, ratio, weight):
     _, params, order = kl_mod.weight_params(sys, weight)
     data = kl_mod.compute_kl(sys, params, order)
     found = analyse(sys, data, (1,), chart)
-    return Region(lo=ratio, hi=ratio, exact=True, weight=weight,
-                  functionals=None, left=found.left,
-                  two_sided=found.two_sided, left_chars=found.left_chars,
-                  distinguished=found.distinguished)
+    return Region(**vars(found), lo=ratio, hi=ratio, exact=True,
+                  weight=weight, functionals=None)
 
 
-def scan_equivalence_classes(sys, *, chartable_name=None, use_mirror=True,
+def scan_equivalence_classes(sys, *, chart=None, use_mirror=True,
                              progress=None, jobs=1):
     """Partition all positive weight functions of a two-class system.
 
-    Returns a :class:`ScanReport`.  ``chartable_name`` names a bundled
-    character table and enables per-region left-cell character
-    decompositions (skipped on mirrored regions).  With ``use_mirror``,
-    ratios below 1 are obtained through a class-swapping diagram
-    automorphism when one exists; without, they are scanned directly.
-    ``jobs`` > 1 computes the exact-ratio regions in a process
-    pool; serial and parallel runs call the same function per region,
-    and the merge is deterministic.
+    Returns a :class:`ScanReport`.  ``chart`` is ``(table, class_map)``,
+    as from ``pipeline.chart_for``, and enables per-region left-cell
+    character decompositions (skipped on mirrored regions).  With
+    ``use_mirror``, ratios below 1 are obtained through a class-swapping
+    diagram automorphism when one exists; without, they are scanned
+    directly.  ``jobs`` > 1 computes the exact-ratio regions in a
+    process pool; serial and parallel runs call the same function per
+    region, and the merge is deterministic.
     """
     if len(sys.gen_classes) != 2:
-        raise ScanError("scan requires exactly two generator classes")
-    chart = None
-    if chartable_name is not None:
-        table = reps_mod.load_bundled_table(chartable_name)
-        chart = (table, reps_mod.table_for_system(sys, table))
+        raise ValueError("scan requires exactly two generator classes")
     num_coord = numerator_coord(sys)
     space = MonomialSpace(2)
     _, params = kl_mod.class_params(sys, space)
@@ -550,31 +516,21 @@ def scan_equivalence_classes(sys, *, chartable_name=None, use_mirror=True,
         data = kl_mod.compute_kl(sys, params, order)
         return data, gamma_plus_W(data)
 
-    def weight_for_ratio(r):
-        vals = [0, 0]
-        vals[num_coord] = r.numerator
-        vals[1 - num_coord] = r.denominator
-        return weight_from_class_values(sys, vals)
-
     def accept(lo, hi, data, gamma, order, validity):
         """Make the accepted probe ``data``, with certifying set ``gamma``,
-        the open region (lo, hi)."""
-        weight = weight_for_ratio(_mediant(lo, hi))
-        found = analyse(sys, data, class_weights_of(sys, weight), chart)
+        the open region (lo, hi).  Every member of the enlarged set is
+        positive in the probe's order, so its interval is not empty."""
+        vals = ratio_class_values(_mediant(lo, hi), num_coord)
+        found = analyse(sys, data, vals, chart)
         gp = gamma_plus_prime_W(data, found.left, gamma)
-        try:
-            glo, ghi, *_ = validity_interval(space, gp, num_coord)
-            gp_validity = (glo, ghi)
-        except ValueError:
-            gp_validity = None
-        order_viol = order_distinguished(data, found.left)
+        glo, ghi, *_ = validity_interval(space, gp, num_coord)
         open_region_list.append(Region(
-            lo=lo, hi=hi, exact=False, weight=weight,
-            functionals=order.functionals, left=found.left,
-            two_sided=found.two_sided, validity=validity,
-            left_chars=found.left_chars, distinguished=found.distinguished,
-            order_distinguished_ok=not order_viol,
-            gamma_prime_validity=gp_validity,
+            **vars(found), lo=lo, hi=hi, exact=False,
+            weight=weight_from_class_values(sys, vals),
+            functionals=order.functionals, validity=validity,
+            order_distinguished_ok=distinguished_involutions(
+                data, found.left).ok,
+            gamma_prime_validity=(glo, ghi),
         ))
 
     # top region through the numerator-dominant pure lexicographic order
@@ -601,7 +557,11 @@ def scan_equivalence_classes(sys, *, chartable_name=None, use_mirror=True,
             if cands:
                 guess = max(cands)
         rho = _mediant(guess, hi_bound)
-        order = _order_for_ratio(space, rho, num_coord)
+        # ties go by the denominator exponent when b >= a, else by the
+        # numerator's; open regions have no certifying monomial on the
+        # tie line, so the choice only fixes the run deterministically
+        order = weighted_order(space, ratio_class_values(rho, num_coord),
+                               1 - num_coord if rho >= 1 else num_coord)
         data, gamma = probe(order, f"interval guess ({guess}, {hi_bound})")
         lo, hi, *_ = validity_interval(space, gamma, num_coord)
         if not (lo < rho and (hi is None or rho < hi)):
@@ -632,7 +592,9 @@ def scan_equivalence_classes(sys, *, chartable_name=None, use_mirror=True,
     regions = list(open_region_list)
     note(f"exact runs at {len(breakpoints)} breakpoints, jobs={jobs}")
     exact_run = partial(_exact_region, sys, chart)
-    bp_weights = [weight_for_ratio(bp) for bp in breakpoints]
+    bp_weights = [weight_from_class_values(sys,
+                                           ratio_class_values(bp, num_coord))
+                  for bp in breakpoints]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -659,7 +621,8 @@ def scan_equivalence_classes(sys, *, chartable_name=None, use_mirror=True,
                 lo=inv_lo, hi=inv_hi if not reg.exact else inv_lo,
                 exact=reg.exact, weight=mw, functionals=None,
                 left=mirrored_partition(reg.left),
-                two_sided=mirrored_partition(reg.two_sided), by_symmetry=True,
+                two_sided=mirrored_partition(reg.two_sided),
+                left_chars=None, distinguished=None, by_symmetry=True,
             ))
         regions.extend(mirrored)
         breakpoints = sorted(set(breakpoints)
@@ -716,8 +679,3 @@ def scan_equivalence_classes(sys, *, chartable_name=None, use_mirror=True,
 def asymptotic_class_bound(sys):
     """Ratio beyond which all weight functions are guaranteed equivalent."""
     return 2 * sys.length[sys.longest]
-
-
-def check_refinement(coarse, fine):
-    """Indices of coarse left blocks that are not unions of fine blocks."""
-    return cells_mod.check_union_refinement(coarse, fine)

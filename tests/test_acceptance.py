@@ -46,7 +46,8 @@ def weight_run(sys, wt):
 @pytest.fixture(scope="module")
 def f4_scan(f4):
     t0 = time.time()
-    rep = weights.scan_equivalence_classes(f4, chartable_name="f4", jobs=2)
+    rep = weights.scan_equivalence_classes(f4, chart=pipeline.chart_for(f4),
+                                           jobs=2)
     rep.elapsed = time.time() - t0
     return rep
 
@@ -285,7 +286,7 @@ def test_criterion_07_distinguished_involutions(f4_scan):
         expected = {0, sys.word_to_element((0,)), sys.word_to_element((1,)),
                     sys.word_to_element((1, 0, 1)),
                     sys.cayley_left[1][sys.longest], sys.longest}
-        assert set(rep.distinguished_elements()) == expected
+        assert {e["d"] for e in rep.per_cell} == expected
     report(7, "every left cell in every F4 region has a unique minimizer, "
               "an involution with unit leading coefficient; dihedral "
               "distinguished sets are {1, s, t, tst, t*w0, w0}")
@@ -333,29 +334,29 @@ def test_criterion_09_refinement(f4_scan, b3):
     betw = _case_region(f4_scan, "between").left
     bey = _case_region(f4_scan, "beyond").left
     # exact-ratio cells are unions of the cells of the adjacent chambers
-    assert weights.check_refinement(eq, betw) == []
-    assert weights.check_refinement(b2a, bey) == []
-    assert weights.check_refinement(b2a, betw) == []
+    assert cells.check_union_refinement(eq, betw) == []
+    assert cells.check_union_refinement(b2a, bey) == []
+    assert cells.check_union_refinement(b2a, betw) == []
     # the literal reading "a=b cells are unions of b>2a cells" is false as
     # a matter of computation (the published remark's first bullet carries
     # a typo; its second bullet and the stated B3/B4 behaviour pin the
     # corrected form asserted above -- see the decisions ledger)
-    assert weights.check_refinement(eq, bey) != []
+    assert cells.check_union_refinement(eq, bey) != []
     # dihedral analogue: the equal-parameter cells refine into both sides
     for m in (4, 6, 8):
         sys = system(f"I2:{m}")
         _, left_eq, _ = weight_run(sys, (1, 1))
         _, left_s, _ = weight_run(sys, (2, 1))
         _, left_t, _ = weight_run(sys, (1, 2))
-        assert weights.check_refinement(left_eq, left_s) == []
-        assert weights.check_refinement(left_eq, left_t) == []
+        assert cells.check_union_refinement(left_eq, left_s) == []
+        assert cells.check_union_refinement(left_eq, left_t) == []
     # B3 analogue: facet cells are unions of adjacent-chamber cells
     runs = {wt: weight_run(b3, wt)[1]
             for wt in [(1, 1, 1), (2, 1, 1), (1, 2, 2), (3, 2, 2), (3, 1, 1)]}
-    assert weights.check_refinement(runs[(1, 1, 1)], runs[(3, 2, 2)]) == []
-    assert weights.check_refinement(runs[(1, 1, 1)], runs[(1, 2, 2)]) == []
-    assert weights.check_refinement(runs[(2, 1, 1)], runs[(3, 2, 2)]) == []
-    assert weights.check_refinement(runs[(2, 1, 1)], runs[(3, 1, 1)]) == []
+    assert cells.check_union_refinement(runs[(1, 1, 1)], runs[(3, 2, 2)]) == []
+    assert cells.check_union_refinement(runs[(1, 1, 1)], runs[(1, 2, 2)]) == []
+    assert cells.check_union_refinement(runs[(2, 1, 1)], runs[(3, 2, 2)]) == []
+    assert cells.check_union_refinement(runs[(2, 1, 1)], runs[(3, 1, 1)]) == []
     report(9, "exact-ratio cells are exact unions of adjacent-chamber cells "
               "for F4 (a=b into 2a>b>a; b=2a into both b>2a and 2a>b>a), "
               "I2(m) and B3; the literal 'a=b into b>2a' reading fails "
@@ -383,7 +384,8 @@ def test_criterion_10_determinism(tmp_path, b3, i26):
                                  checks=("lemmas", "bounds", "bar", "L"))
         res = pipeline.run_pipeline(cfg, sys=b3)
         out = pipeline.write_archive(res, tmp_path / sub / "archive")
-        scan = weights.scan_equivalence_classes(i26, chartable_name="i2_6")
+        scan = weights.scan_equivalence_classes(
+            i26, chart=pipeline.chart_for(i26))
         pipeline.write_scan(scan, tmp_path / sub / "scan", i26)
         digests.append(tree_digest(tmp_path / sub))
     assert digests[0] == digests[1]

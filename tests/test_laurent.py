@@ -209,4 +209,4 @@ def test_text_and_json_forms():
                                           [[-1, 1], -2]]
     assert poly_text(space, {}, order) == "0"
     space1 = MonomialSpace(1)
-    assert poly_text(space1, {-1: 1}, None) == "v^-1"
+    assert poly_text(space1, {-1: 1}, lex_order(space1)) == "v^-1"

@@ -48,7 +48,8 @@ def test_pipeline_reruns_are_byte_identical(tmp_path, b3):
 def test_scan_outputs_are_byte_identical(tmp_path, i24):
     digests = []
     for sub in ("one", "two"):
-        report = weights.scan_equivalence_classes(i24, chartable_name="i2_4")
+        report = weights.scan_equivalence_classes(
+            i24, chart=pipeline.chart_for(i24))
         out = pipeline.write_scan(report, tmp_path / sub, i24)
         digests.append(tree_digest(out))
     assert digests[0] == digests[1]
@@ -215,6 +216,66 @@ def test_cli_config_file(tmp_path, capsys):
                    "--weight", "1,1", "--out", str(tmp_path / "runs2")])
     assert rc == 0
     assert "left cells 4" in capsys.readouterr().out
+
+
+def test_config_file_never_overrides_an_explicit_flag(tmp_path, capsys):
+    # an explicit flag wins over the file also when it is given by alias
+    # (--check), by abbreviation (--cross) or against an underscored key
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"checks": "lemmas", "cross_check": False}))
+    rc = cli.main(["compute", "--type", "I2:4", "--weight", "2,1",
+                   "--check", "bar", "--cross", "--config", str(cfgfile),
+                   "--out", str(tmp_path / "runs")])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "check [bar-identity]" in out
+    assert "check [weight-vs-order cross-check]" in out
+    assert "P-normalization" not in out
+    # the file still fills what no flag gives; a key that names no option
+    # and a file that is not a JSON object are usage errors
+    rc = cli.main(["compute", "--type", "I2:4", "--weight", "2,1",
+                   "--config", str(cfgfile), "--out", str(tmp_path / "r2")])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "P-normalization" in out and "cross-check" not in out
+    for text, error in (('{"bogus": 1}', "unknown config key 'bogus'"),
+                        ('{"func": 1}', "unknown config key 'func'"),
+                        ('["weight"]', "does not hold an object"),
+                        ('{"weight"', "cannot read config file")):
+        cfgfile.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["compute", "--type", "I2:4", "--weight", "2,1",
+                      "--config", str(cfgfile)])
+        assert exc.value.code == 2
+        assert error in capsys.readouterr().err
+
+
+def test_dump_element_matches_only_y_and_w(tmp_path, capsys):
+    assert cli.main(["compute", "--type", "I2:4", "--weight", "2,1",
+                     "--out", str(tmp_path)]) == 0
+    archive, = tmp_path.iterdir()
+    for table, pair in (("mu", slice(1, 3)), ("p", slice(0, 2))):
+        capsys.readouterr()
+        assert cli.main(["dump", "--archive", str(archive), "--table", table,
+                         "--element", "1"]) == 0
+        rows = [ln.split("\t") for ln in
+                capsys.readouterr().out.splitlines()]
+        assert rows and all("1" in r[pair] for r in rows), table
+
+
+def test_scan_post_condition_exits_1(tmp_path, capsys, monkeypatch):
+    # a failed scan post-condition is a failed run (exit 1), with one
+    # error line and no scan files; a system the scan cannot take is a
+    # usage error (exit 2)
+    monkeypatch.setattr(weights, "asymptotic_class_bound", lambda sys: 0)
+    out = tmp_path / "runs"
+    assert cli.main(["scan", "--type", "I2:6", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: top region starts above the guaranteed threshold"]
+    assert not out.exists()
+    assert cli.main(["scan", "--type", "A3", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: scan requires exactly two generator classes"]
 
 
 def test_archive_contents(tmp_path, i26):

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from klcells import cells, kl, weights
-from klcells.laurent import MonomialSpace, lex_order
+from klcells import cells, kl, pipeline, weights
+from klcells.laurent import MonomialOrder, MonomialSpace, lex_order
 
 from conftest import system
 
@@ -118,7 +118,7 @@ def test_distinguished_involutions_dihedral(m):
         sys.cayley_left[1][sys.longest],
         sys.longest,
     }
-    assert set(report.distinguished_elements()) == expected
+    assert {e["d"] for e in report.per_cell} == expected
     assert report.per_cell[0]["delta"] == 0 and report.per_cell[0]["n"] == 1
 
 
@@ -200,19 +200,18 @@ def test_scan_weight_landing_exhaustive():
 
 @pytest.fixture(scope="module")
 def b3_scan_chars(b3):
-    return weights.scan_equivalence_classes(b3, chartable_name="b3")
+    return weights.scan_equivalence_classes(b3, chart=pipeline.chart_for(b3))
 
 
 def test_scan_parallel_matches_serial(i26, b3, b3_scan_chars):
     # B3 has no class-swap mirror, so every region is computed; every
     # computed region carries its characters in both modes
-    from klcells import pipeline
-
-    i26_serial = weights.scan_equivalence_classes(i26, chartable_name="i2_6")
+    i26_serial = weights.scan_equivalence_classes(
+        i26, chart=pipeline.chart_for(i26))
     for sys, table, serial in ((i26, "i2_6", i26_serial),
                                (b3, "b3", b3_scan_chars)):
         parallel = weights.scan_equivalence_classes(
-            sys, chartable_name=table, jobs=2)
+            sys, chart=pipeline.chart_for(sys), jobs=2)
         assert pipeline.scan_to_json(serial) == \
             pipeline.scan_to_json(parallel)
         for report in (serial, parallel):
@@ -224,8 +223,6 @@ def test_scan_parallel_matches_serial(i26, b3, b3_scan_chars):
 def test_scan_regions_match_compute(b3, b3_scan_chars):
     # constancy on each region: a weight run at the region's
     # representative weight has the region's left cells and characters
-    from klcells import pipeline
-
     for reg in b3_scan_chars.regions:
         res = pipeline.run_pipeline(
             pipeline.RunConfig("B3", weight=reg.weight, checks=()), sys=b3)
@@ -233,8 +230,40 @@ def test_scan_regions_match_compute(b3, b3_scan_chars):
         assert res.left_chars == reg.left_chars, reg.weight
 
 
+def test_order_and_specialised_minimisers_agree(b3, b4, b3_scan_chars):
+    # on an open region whose representative ratio lies inside the
+    # validity interval of the enlarged certifying set, Delta compared in
+    # the region's own order and Delta of the data specialised at that
+    # ratio name the same distinguished involutions
+    compared = 0
+    for sys, scan in ((b3, b3_scan_chars),
+                      (b4, weights.scan_equivalence_classes(b4))):
+        space = MonomialSpace(2)
+        _, params = kl.class_params(sys, space)
+        num = weights.numerator_coord(sys)
+        for reg in scan.regions:
+            if reg.exact:
+                continue
+            cw = weights.class_weights_of(sys, reg.weight)
+            ratio = Fraction(cw[num], cw[1 - num])
+            glo, ghi = reg.gamma_prime_validity
+            if not (glo < ratio and (ghi is None or ratio < ghi)):
+                continue
+            data = kl.compute_kl(sys, params,
+                                 MonomialOrder(space, reg.functionals))
+            left, _ = cells.left_cells(sys, data.mu)
+            assert left.canonical() == reg.left.canonical()
+            own = weights.distinguished_involutions(data, left)
+            spec = weights.distinguished_involutions(data, left, cw)
+            assert own.ok and spec.ok, reg.interval_text()
+            assert [e["d"] for e in own.per_cell] == \
+                [e["d"] for e in spec.per_cell], reg.interval_text()
+            compared += 1
+    assert compared == 6
+
+
 def test_scan_rejects_one_class_systems(a3):
-    with pytest.raises(weights.ScanError):
+    with pytest.raises(ValueError, match="two generator classes"):
         weights.scan_equivalence_classes(a3)
 
 
@@ -248,7 +277,7 @@ def test_asymptotic_class_bound(b3):
 
 def test_refinement_helpers(i24):
     _, _, _, left = lex_run("I2:4")
-    assert weights.check_refinement(left, left) == []
+    assert cells.check_union_refinement(left, left) == []
 
 
 @pytest.mark.slow
