@@ -18,7 +18,6 @@ import argparse
 import json
 import shutil
 import sys as _sysmod
-from fractions import Fraction
 from pathlib import Path
 
 from . import kl as kl_mod
@@ -129,8 +128,7 @@ def cmd_scan(args, parser):
     progress = (lambda m: print("  " + m, file=_sysmod.stderr)) \
         if args.verbose else None
     report = weights.scan_equivalence_classes(
-        sys_, chart=chart, use_mirror=not args.no_mirror,
-        progress=progress, jobs=args.jobs)
+        sys_, chart=chart, progress=progress, jobs=args.jobs)
     outdir = pipeline.write_scan(report, Path(args.out) / "scan", sys_)
     print(pipeline.scan_to_text(report), end="")
     print(f"scan files: {outdir}")
@@ -279,9 +277,6 @@ def build_parser(defaults=None):
                    help="decompose cell characters per region")
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes for exact-ratio regions")
-    p.add_argument("--no-mirror", action="store_true",
-                   help="scan ratios below 1 directly instead of mirroring "
-                        "through a diagram automorphism")
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("check", help="verification battery")

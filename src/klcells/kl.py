@@ -39,6 +39,7 @@ because every keyed object is kept alive by the table itself.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import chain
 
 import numpy as np
@@ -320,6 +321,34 @@ def compute_kl(sys, params, order, *, progress=None):
 
     return KLData(sys=sys, space=space, params=params, order=order,
                   rows=rows, mu=mu, v_elem=v_of_element(sys, params, space))
+
+
+def automorphic_image(data, perm, elem_map):
+    """The tables of ``data`` carried through a class-swapping diagram
+    automorphism: generator s goes to ``perm[s]``, element w to
+    ``elem_map[w]``.  The two class coordinates of every monomial and
+    functional are swapped (the identity on one-variable data); by
+    uniqueness of the canonical basis this is what ``compute_kl`` returns
+    for the image parameters and order.  Every class-swapping ``perm``
+    here is an involution, so ``perm`` and ``elem_map`` are self-inverse.
+    """
+    space = data.space
+    swap = cache(lambda m: space.pack(space.unpack(m)[::-1]))
+    moved = {}
+
+    def move(p):
+        if id(p) not in moved:
+            moved[id(p)] = {swap(m): c for m, c in p.items()}
+        return moved[id(p)]
+
+    rows = [{elem_map[y]: move(p) for y, p in data.rows[w].items()}
+            for w in elem_map]
+    mu = {(perm[s], elem_map[y], elem_map[w]): move(m)
+          for (s, y, w), m in data.mu.items()}
+    params = tuple(swap(data.params[s]) for s in perm)
+    order = MonomialOrder(space, [f[::-1] for f in data.order.functionals])
+    return KLData(data.sys, space, params, order, rows, mu,
+                  v_of_element(data.sys, params, space))
 
 
 # ---------------------------------------------------------------------------

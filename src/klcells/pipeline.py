@@ -26,7 +26,7 @@ from . import cells as cells_mod
 from . import kl as kl_mod
 from . import reps as reps_mod
 from . import weights as weights_mod
-from .coxeter import build_system, parse_type
+from .coxeter import build_system
 from .laurent import MonomialOrder, MonomialSpace, poly_json, poly_text
 
 _TABLE_FOR_TYPE = {
@@ -497,9 +497,8 @@ def scan_to_json(report):
             "lo": _frac(reg.lo),
             "hi": _frac(reg.hi),
             "exact": reg.exact,
-            "weight": list(reg.weight),
-            "functionals": [list(f) for f in reg.functionals]
-            if reg.functionals else None,
+            "weight": reg.weight,
+            "functionals": reg.functionals,
             "left_cells": len(reg.left),
             "two_sided_cells": len(reg.two_sided),
             "by_symmetry": reg.by_symmetry,
@@ -507,10 +506,10 @@ def scan_to_json(report):
                 repr(reg.left.canonical()).encode()).hexdigest()[:16],
         }
         if reg.validity is not None:
-            obj["validity"] = [_frac(reg.validity[0]), _frac(reg.validity[1])]
+            obj["validity"] = list(map(_frac, reg.validity))
         if reg.gamma_prime_validity is not None:
-            obj["star_prime_validity"] = [_frac(reg.gamma_prime_validity[0]),
-                                          _frac(reg.gamma_prime_validity[1])]
+            obj["star_prime_validity"] = list(map(_frac,
+                                                  reg.gamma_prime_validity))
         if reg.distinguished is not None:
             obj["distinguished_ok"] = reg.distinguished.ok
         if reg.char_labels is not None:
@@ -518,21 +517,12 @@ def scan_to_json(report):
         regions.append(obj)
     return {
         "system": report.system_name,
-        "numerator_class": list(report.numerator_class),
+        "numerator_class": report.numerator_class,
         "mirrored": report.mirrored,
         "order_runs": report.order_runs,
         "breakpoints": [_frac(b) for b in report.breakpoints],
         "regions": regions,
-        "partition_classes": [
-            {
-                "representative_weight": list(c["representative_weight"]),
-                "intervals": c["intervals"],
-                "left_cells": c["left_cells"],
-                "two_sided_cells": c["two_sided_cells"],
-                "regions": c["regions"],
-            }
-            for c in report.partition_classes
-        ],
+        "partition_classes": report.partition_classes,
     }
 
 
@@ -562,21 +552,20 @@ def scan_to_text(report):
     return "\n".join(lines) + "\n"
 
 
-def write_scan(report, outdir, sys=None):
+def write_scan(report, outdir, sys):
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     _dump_json(outdir / "scan.json", scan_to_json(report))
     with open(outdir / "scan.txt", "w", encoding="utf-8") as fh:
         fh.write(scan_to_text(report))
-    if sys is not None:
-        for i, reg in enumerate(report.regions):
-            tag = f"region_{i:02d}"
-            with open(outdir / f"{tag}.dot", "w", encoding="utf-8") as fh:
-                fh.write(cells_mod.dot_export(sys, reg.two_sided))
-                fh.write("\n")
-            _dump_json(outdir / f"{tag}_cells.json", {
-                "interval": reg.interval_text(),
-                "weight": list(reg.weight),
-                "left": reg.left.as_words(sys),
-            })
+    for i, reg in enumerate(report.regions):
+        tag = f"region_{i:02d}"
+        with open(outdir / f"{tag}.dot", "w", encoding="utf-8") as fh:
+            fh.write(cells_mod.dot_export(sys, reg.two_sided))
+            fh.write("\n")
+        _dump_json(outdir / f"{tag}_cells.json", {
+            "interval": reg.interval_text(),
+            "weight": reg.weight,
+            "left": reg.left.as_words(sys),
+        })
     return outdir

@@ -455,56 +455,58 @@ def weighted_order(space, class_values, tie_coord):
     return MonomialOrder(space, [tuple(class_values), tuple(tie)])
 
 
-def _exact_region(sys, chart, ratio, weight):
-    """The region at an exact breakpoint, from a single-variable run.
+def _exact_regions(sys, chart, swap, ratio):
+    """The region at an exact breakpoint, from a single-variable run, and
+    for ratio != 1 with a class swap ``(perm, elem_map)`` also its image
+    at 1/ratio.
 
     The serial scan maps this over the breakpoints with ``map``, the
-    parallel scan with ``pool.map``.
+    parallel scan with ``pool.map``, so images are built in the workers.
+    A weight run's params are its weights.
     """
-    _, params, order = kl_mod.weight_params(sys, weight)
+    _, params, order = kl_mod.weight_params(sys, weight_from_class_values(
+        sys, ratio_class_values(ratio, numerator_coord(sys))))
     data = kl_mod.compute_kl(sys, params, order)
-    found = analyse(sys, data, (1,), chart)
-    return Region(**vars(found), lo=ratio, hi=ratio, exact=True,
-                  weight=weight, functionals=None)
+    found = [(ratio, data)]
+    if swap is not None and ratio != 1:
+        found.append((1 / ratio, kl_mod.automorphic_image(data, *swap)))
+    return [Region(**vars(analyse(sys, d, (1,), chart)), lo=r, hi=r,
+                   exact=True, weight=d.params, functionals=None,
+                   by_symmetry=r != ratio) for r, d in found]
 
 
-def scan_equivalence_classes(sys, *, chart=None, use_mirror=True,
-                             progress=None, jobs=1):
+def scan_equivalence_classes(sys, *, chart=None, progress=None, jobs=1):
     """Partition all positive weight functions of a two-class system.
 
     Returns a :class:`ScanReport`.  ``chart`` is ``(table, class_map)``,
     as from ``pipeline.chart_for``, and enables per-region left-cell
-    character decompositions (skipped on mirrored regions).  With
-    ``use_mirror``, ratios below 1 are obtained through a class-swapping
-    diagram automorphism when one exists; without, they are scanned
-    directly.  ``jobs`` > 1 computes the exact-ratio regions in a
-    process pool; serial and parallel runs call the same function per
-    region, and the merge is deterministic.
+    character decompositions.  When a diagram automorphism swaps the
+    two generator classes, only ratios from 1 up are scanned: the tables
+    of each region are carried through it (``kl.automorphic_image``) to
+    the region at the inverse ratios, which is then analysed like any
+    other.  ``jobs`` > 1 computes the exact-ratio regions in a process
+    pool of at most one worker per breakpoint; serial and parallel runs
+    call the same function per breakpoint, and the merge is
+    deterministic.
     """
     if len(sys.gen_classes) != 2:
         raise ValueError("scan requires exactly two generator classes")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, not {jobs}")
     num_coord = numerator_coord(sys)
     space = MonomialSpace(2)
     _, params = kl_mod.class_params(sys, space)
     lw0 = sys.length[sys.longest]
     max_runs = 16 * lw0 * lw0 + 64
-    swap_map = None
-    if use_mirror:
-        for perm in sys.diagram_automorphisms():
-            # automorphisms map classes to classes: one generator tells
-            if sys.class_of_gen[perm[0]] != sys.class_of_gen[0]:
-                swap_map = sys.element_map_for_auto(perm)
-                swap_perm = perm
-                break
-    mirror = swap_map is not None
-    bottom = Fraction(1) if mirror else Fraction(0)
+    # automorphisms map classes to classes: one generator tells
+    perm = next((p for p in sys.diagram_automorphisms()
+                 if sys.class_of_gen[p[0]] != sys.class_of_gen[0]), None)
+    swap = None if perm is None else (perm, sys.element_map_for_auto(perm))
+    bottom = Fraction(1) if swap else Fraction(0)
 
     runs = 0
     open_region_list = []   # finished Region objects for open intervals
-
-    def note(msg):
-        if progress is not None:
-            progress(msg)
+    note = progress or (lambda msg: None)
 
     def probe(order, label):
         """Two-variable tables and certifying set of one order run."""
@@ -516,10 +518,12 @@ def scan_equivalence_classes(sys, *, chart=None, use_mirror=True,
         data = kl_mod.compute_kl(sys, params, order)
         return data, gamma_plus_W(data)
 
-    def accept(lo, hi, data, gamma, order, validity):
-        """Make the accepted probe ``data``, with certifying set ``gamma``,
-        the open region (lo, hi).  Every member of the enlarged set is
-        positive in the probe's order, so its interval is not empty."""
+    def accept(lo, hi, data, gamma, validity, by_symmetry=False):
+        """Make the accepted probe ``data``, with certifying set ``gamma``
+        valid on ``validity``, the open region (lo, hi), and with a class
+        swap its image the region (1/hi, 1/lo).  Every member of the
+        enlarged set is positive in the data's order, so its interval is
+        not empty."""
         vals = ratio_class_values(_mediant(lo, hi), num_coord)
         found = analyse(sys, data, vals, chart)
         gp = gamma_plus_prime_W(data, found.left, gamma)
@@ -527,19 +531,27 @@ def scan_equivalence_classes(sys, *, chart=None, use_mirror=True,
         open_region_list.append(Region(
             **vars(found), lo=lo, hi=hi, exact=False,
             weight=weight_from_class_values(sys, vals),
-            functionals=order.functionals, validity=validity,
+            functionals=data.order.functionals, validity=validity,
             order_distinguished_ok=distinguished_involutions(
                 data, found.left).ok,
-            gamma_prime_validity=(glo, ghi),
+            gamma_prime_validity=(glo, ghi), by_symmetry=by_symmetry,
         ))
+        if swap is not None and not by_symmetry:
+            image = kl_mod.automorphic_image(data, *swap)
+            igamma = gamma_plus_W(image)
+            ilo, ihi, *_ = validity_interval(space, igamma, num_coord)
+            accept(Fraction(0) if hi is None else 1 / hi, 1 / lo, image,
+                   igamma, (ilo, ihi), by_symmetry=True)
 
-    # top region through the numerator-dominant pure lexicographic order
+    # top region through the numerator-dominant pure lexicographic order;
+    # with a class swap it starts at 1 at the earliest
     top_order = lex_order(space, (num_coord, 1 - num_coord))
     data, top_gamma = probe(top_order, "pure lex")
     lo, hi, *_ = validity_interval(space, top_gamma, num_coord)
     if hi is not None:
         raise ScanError("pure lex region is bounded above; unexpected")
-    accept(lo, None, data, top_gamma, top_order, (lo, hi))
+    top_lo = max(lo, bottom)
+    accept(top_lo, None, data, top_gamma, (lo, hi))
     del data
 
     def tile(lo_bound, hi_bound, hint_gamma):
@@ -572,61 +584,36 @@ def scan_equivalence_classes(sys, *, chart=None, use_mirror=True,
             return
         cover_lo = max(lo, lo_bound)
         cover_hi = hi_bound if hi is None else min(hi, hi_bound)
-        accept(cover_lo, cover_hi, data, gamma, order, (lo, hi))
+        accept(cover_lo, cover_hi, data, gamma, (lo, hi))
         del data
         if cover_hi < hi_bound:
             tile(cover_hi, hi_bound, gamma)
         if cover_lo > lo_bound:
             tile(lo_bound, cover_lo, gamma)
 
-    tile(bottom, lo, top_gamma)
+    tile(bottom, top_lo, top_gamma)
 
     # exact regions at the nonzero finite ends of the open regions; with
-    # the mirror the lowest open region starts at 1
+    # a class swap those below 1 are images, so only those from 1 up run
     breakpoints = sorted({end for reg in open_region_list
                           for end in (reg.lo, reg.hi) if end})
     for bp in breakpoints:
         if not (0 < bp.numerator < 2 * lw0 and 0 < bp.denominator < 2 * lw0):
             raise ScanError(f"breakpoint {bp} outside the theoretical range")
+    exact = [bp for bp in breakpoints if bp >= bottom]
 
-    regions = list(open_region_list)
-    note(f"exact runs at {len(breakpoints)} breakpoints, jobs={jobs}")
-    exact_run = partial(_exact_region, sys, chart)
-    bp_weights = [weight_from_class_values(sys,
-                                           ratio_class_values(bp, num_coord))
-                  for bp in breakpoints]
-    if jobs > 1:
+    note(f"exact runs at {len(exact)} breakpoints, jobs={jobs}")
+    exact_run = partial(_exact_regions, sys, chart, swap)
+    workers = min(jobs, len(exact))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            regions.extend(pool.map(exact_run, breakpoints, bp_weights))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            found = list(pool.map(exact_run, exact))
     else:
-        regions.extend(map(exact_run, breakpoints, bp_weights))
-    runs += len(breakpoints)
-
-    if mirror:
-        def mirrored_partition(part):
-            return cells_mod.partition_of_blocks(
-                sys, part.kind, ([swap_map[w] for w in blk]
-                                 for blk in part.blocks))
-
-        mirrored = []
-        for reg in regions:
-            if reg.exact and reg.lo == 1:
-                continue
-            inv_lo = Fraction(0) if reg.hi is None else 1 / reg.hi
-            inv_hi = 1 / reg.lo
-            mw = tuple(reg.weight[swap_perm[s]] for s in range(sys.rank))
-            mirrored.append(Region(
-                lo=inv_lo, hi=inv_hi if not reg.exact else inv_lo,
-                exact=reg.exact, weight=mw, functionals=None,
-                left=mirrored_partition(reg.left),
-                two_sided=mirrored_partition(reg.two_sided),
-                left_chars=None, distinguished=None, by_symmetry=True,
-            ))
-        regions.extend(mirrored)
-        breakpoints = sorted(set(breakpoints)
-                             | {1 / bp for bp in breakpoints})
+        found = list(map(exact_run, exact))
+    regions = open_region_list + [reg for regs in found for reg in regs]
+    runs += len(exact)
 
     regions.sort(key=lambda r: (r.lo, not r.exact,
                                 r.hi if r.hi is not None else Fraction(10**9)))
@@ -636,7 +623,7 @@ def scan_equivalence_classes(sys, *, chart=None, use_mirror=True,
     for idx, reg in enumerate(regions):
         groups.setdefault(reg.left.canonical(), []).append(idx)
     partition_classes = []
-    for key_, idxs in groups.items():
+    for idxs in groups.values():
         reps_w = min((regions[i].weight for i in idxs),
                      key=lambda w: (sum(w), w))
         partition_classes.append({
@@ -652,7 +639,7 @@ def scan_equivalence_classes(sys, *, chart=None, use_mirror=True,
     # representative weights stay within the theoretical value bound, and
     # the top region starts no later than the guaranteed threshold
     for reg in regions:
-        if reg.validity is not None and not reg.exact:
+        if not reg.exact:
             vlo, vhi = reg.validity
             if not (vlo <= reg.lo and (vhi is None or reg.hi is None
                                        or reg.hi <= vhi)):
@@ -672,7 +659,7 @@ def scan_equivalence_classes(sys, *, chart=None, use_mirror=True,
         breakpoints=breakpoints,
         partition_classes=partition_classes,
         order_runs=runs,
-        mirrored=mirror,
+        mirrored=swap is not None,
     )
 
 

@@ -96,13 +96,13 @@ SCAN_GOLDEN = {
         "scan.txt": "35fe1c8fb85331216eeb1c462bf380efaeed94b229b421dd4efe3848cb7f8847",
     }),
     "i2_6": ("I2:6", {
-        "region_00.dot": "f096f0b692c10551759ac1821e5aa948d9ec5b78fbaed58804be1b1c574e34ca",
+        "region_00.dot": "7ee430c2084ce95b288a3a18282aeb36b4c25a5d492dbc27cf2465801715c031",
         "region_00_cells.json": "8e7d02daf9e8ee8a407301f2baf0eec452e8217d01af875ebd1fda6d5c5b1427",
         "region_01.dot": "28fd586bb1495bf4251dcf78a940d1d2733480ff1946090a7e452534882809a5",
         "region_01_cells.json": "48860be21d9bfdd4660d0bcedf838aa5c7936a0c9a9cbd9eb7890a3749b3d36a",
         "region_02.dot": "fbf3f187d60a45c7d26522095be5ee9be995718952b3cac09a4ac93eecd9f278",
         "region_02_cells.json": "f85dc1b34cddea30288a95f76d4946f7c9bb7637fc633f80f5a9169548ffc006",
-        "scan.json": "75f0eabdcfc464c736afcba60982942e44598d1a578cb5f0496dbbb9c8489ee9",
+        "scan.json": "2830b065042290205cf8749a362bc86523e6fd9c7d51a6968026a987164b6ec7",
         "scan.txt": "d99e254f87bdbb34967e9bab20b2ce4abd763443838869d4364c72f2e1312789",
     }),
 }

@@ -321,6 +321,32 @@ def test_weight_mode_matches_specialized_order_mode(i26):
     assert rep.ok and rep.checked > 50
 
 
+@pytest.mark.parametrize("name, before, after", [
+    ("I2:6", ((1, 2), (1, 0)), ((2, 1), (0, 1))),
+    ("I2:8", ((0, 1), (1, 0)), ((1, 0), (0, 1))),
+    ("A2xA2", ((3, 1), (0, 1)), ((1, 3), (1, 0))),
+    ("I2:8", (3, 1), (1, 3)),
+])
+def test_automorphic_image_equals_a_direct_compute(name, before, after):
+    # the tables of an order run (functionals ``before``) or a weight run
+    # carried through the class swap are those computed directly with
+    # the swapped functionals, resp. the swapped weights ``after``
+    sys = system(name)
+    perm = next(p for p in sys.diagram_automorphisms()
+                if sys.class_of_gen[p[0]] != sys.class_of_gen[0])
+    if isinstance(before[0], tuple):
+        space, params = kl.class_params(sys)
+        runs = [(params, MonomialOrder(space, f)) for f in (before, after)]
+    else:
+        runs = [kl.weight_params(sys, w)[1:] for w in (before, after)]
+    data, direct = (kl.compute_kl(sys, *run) for run in runs)
+    image = kl.automorphic_image(data, perm, sys.element_map_for_auto(perm))
+    assert image.params == direct.params
+    assert image.order.functionals == direct.order.functionals
+    assert image.rows == direct.rows and image.mu == direct.mu
+    assert image.v_elem == direct.v_elem
+
+
 @pytest.mark.parametrize("name, weight", [
     ("B3", None), ("B3", (2, 1, 1)), ("B4", None), ("B4", (5, 2, 2, 2)),
 ])

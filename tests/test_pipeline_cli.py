@@ -278,6 +278,43 @@ def test_scan_post_condition_exits_1(tmp_path, capsys, monkeypatch):
         "error: scan requires exactly two generator classes"]
 
 
+def test_scan_pool_has_one_worker_per_exact_run(tmp_path, capsys,
+                                               monkeypatch):
+    # --jobs below 1 is a usage error; the pool never outgrows the exact
+    # runs (B3 has two breakpoints, I2:6 one, which runs in process)
+    import concurrent.futures
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *args):
+            return map(fn, *args)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
+    for jobs in ("0", "-3"):
+        assert cli.main(["scan", "--type", "I2:6", "--jobs", jobs,
+                         "--out", str(tmp_path / jobs)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: jobs must be at least 1, not {jobs}"]
+    assert sizes == []
+    for name, jobs, expect in (("B3", "64", [2]), ("I2:6", "64", []),
+                               ("B3", "1", [])):
+        sizes.clear()
+        assert cli.main(["scan", "--type", name, "--jobs", jobs,
+                         "--out", str(tmp_path / name)]) == 0
+        assert sizes == expect, (name, jobs)
+
+
 def test_archive_contents(tmp_path, i26):
     cfg = pipeline.RunConfig(system="I2:6", weight=(3, 1))
     res = pipeline.run_pipeline(cfg, sys=i26)

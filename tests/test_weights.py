@@ -1,9 +1,10 @@
+import json
 import math
 from fractions import Fraction
 
 import pytest
 
-from klcells import cells, kl, pipeline, weights
+from klcells import cells, cli, kl, pipeline, weights
 from klcells.laurent import MonomialOrder, MonomialSpace, lex_order
 
 from conftest import system
@@ -203,12 +204,15 @@ def b3_scan_chars(b3):
     return weights.scan_equivalence_classes(b3, chart=pipeline.chart_for(b3))
 
 
-def test_scan_parallel_matches_serial(i26, b3, b3_scan_chars):
-    # B3 has no class-swap mirror, so every region is computed; every
-    # computed region carries its characters in both modes
-    i26_serial = weights.scan_equivalence_classes(
-        i26, chart=pipeline.chart_for(i26))
-    for sys, table, serial in ((i26, "i2_6", i26_serial),
+@pytest.fixture(scope="module")
+def i26_scan_chars(i26):
+    return weights.scan_equivalence_classes(i26, chart=pipeline.chart_for(i26))
+
+
+def test_scan_parallel_matches_serial(i26, b3, b3_scan_chars, i26_scan_chars):
+    # every region, an image under the class swap or not, carries its
+    # characters in both modes
+    for sys, table, serial in ((i26, "i2_6", i26_scan_chars),
                                (b3, "b3", b3_scan_chars)):
         parallel = weights.scan_equivalence_classes(
             sys, chart=pipeline.chart_for(sys), jobs=2)
@@ -216,18 +220,30 @@ def test_scan_parallel_matches_serial(i26, b3, b3_scan_chars):
             pipeline.scan_to_json(parallel)
         for report in (serial, parallel):
             for reg in report.regions:
-                assert reg.by_symmetry or reg.char_labels is not None, \
+                assert reg.char_labels is not None, \
                     (table, reg.interval_text())
 
 
-def test_scan_regions_match_compute(b3, b3_scan_chars):
+def test_scan_regions_match_compute(b3, i26, b3_scan_chars, i26_scan_chars):
     # constancy on each region: a weight run at the region's
-    # representative weight has the region's left cells and characters
-    for reg in b3_scan_chars.regions:
-        res = pipeline.run_pipeline(
-            pipeline.RunConfig("B3", weight=reg.weight, checks=()), sys=b3)
-        assert res.left.canonical() == reg.left.canonical(), reg.weight
-        assert res.left_chars == reg.left_chars, reg.weight
+    # representative weight has the region's cells with their DAGs, its
+    # characters and its distinguished involutions; on I2:6 and I2:8 the
+    # regions below 1 are images under the class swap
+    i28 = system("I2:8")
+    i28_scan = weights.scan_equivalence_classes(
+        i28, chart=pipeline.chart_for(i28))
+    for sys, scan in ((b3, b3_scan_chars), (i26, i26_scan_chars),
+                      (i28, i28_scan)):
+        assert scan.mirrored == (sys is not b3)
+        for reg in scan.regions:
+            res = pipeline.run_pipeline(pipeline.RunConfig(
+                sys.spec.name, weight=reg.weight, checks=()), sys=sys)
+            for part in ("left", "two_sided"):
+                got, want = getattr(res, part), getattr(reg, part)
+                assert (got.blocks, got.reduction) == \
+                    (want.blocks, want.reduction), (part, reg.weight)
+            assert res.left_chars == reg.left_chars, reg.weight
+            assert res.distinguished == reg.distinguished, reg.weight
 
 
 def test_order_and_specialised_minimisers_agree(b3, b4, b3_scan_chars):
@@ -331,11 +347,23 @@ def test_f4_specialization_consistency_sampled(f4):
     assert rep.ok and rep.checked > 400000
 
 
-def test_no_mirror_descent_matches_mirrored():
-    sys = system("I2:8")
-    direct = weights.scan_equivalence_classes(sys, use_mirror=False)
-    mirrored = weights.scan_equivalence_classes(sys)
-    def canon(rep):
-        return {(r.lo, r.hi, r.exact): r.left.canonical() for r in rep.regions}
-    assert canon(direct) == canon(mirrored)
-    assert not direct.mirrored and mirrored.mirrored
+@pytest.mark.parametrize("name", ["A1xA1", "A2xA2", "B2", "G2", "I2:8",
+                                  "A1xA2"])
+def test_scan_tiles_the_ratio_line(tmp_path, capsys, name):
+    # the scan exits 0 and every sample ratio lies in exactly one region;
+    # with a class swap the breakpoints are closed under r -> 1/r
+    assert cli.main(["scan", "--type", name, "--out", str(tmp_path)]) == 0
+    scan = json.loads((tmp_path / "scan" / "scan.json").read_text())
+    frac = lambda x: None if x is None else Fraction(x)
+    spans = [(frac(r["lo"]), frac(r["hi"]), r["exact"])
+             for r in scan["regions"]]
+    breakpoints = {Fraction(b) for b in scan["breakpoints"]}
+    samples = {Fraction(1), Fraction(1, 7), Fraction(2, 3), Fraction(3, 2),
+               Fraction(7)} | breakpoints
+    for r in samples:
+        hits = [(lo, hi) for lo, hi, exact in spans
+                if (r == lo if exact else lo < r and (hi is None or r < hi))]
+        assert len(hits) == 1, (r, hits)
+    assert scan["mirrored"] == (name != "A1xA2")
+    if scan["mirrored"]:
+        assert {1 / b for b in breakpoints} == breakpoints
