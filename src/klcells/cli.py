@@ -9,7 +9,8 @@ Subcommands:
   dump      print stored polynomial tables
 
 Flags can also be supplied through a JSON config file (--config); the
-file holds an object whose keys mirror the long option names.
+file holds an object whose keys mirror the long option names and whose
+values are read as command-line text.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import argparse
 import json
 import shutil
 import sys as _sysmod
+from collections import Counter
 from pathlib import Path
 
 from . import kl as kl_mod
@@ -34,10 +36,11 @@ def _parse_order(text):
                  for row in text.replace(" ", "").split(";"))
 
 
-def _config_defaults(args, parser):
-    """Options of the JSON config file, keyed by destination; a file
-    that cannot be read as a JSON object, or a key that names no option
-    of the subcommand, is a usage error."""
+def _config_argv(args, parser):
+    """The JSON config file as command-line text: a string or number
+    becomes ``--key=value``, true ``--key`` and false nothing.  Any other
+    value, a key that names no option of the subcommand, or a file that
+    cannot be read as a JSON object is a usage error."""
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             blob = json.load(fh)
@@ -46,22 +49,26 @@ def _config_defaults(args, parser):
     if not isinstance(blob, dict):
         parser.error(f"config file {args.config} does not hold an object")
     options = vars(args).keys() - {"command", "func"}
-    for key in blob:
+    argv = []
+    for key, val in blob.items():
         if key.replace("-", "_") not in options:
             parser.error(f"unknown config key {key!r}")
-    return {key.replace("-", "_"): val for key, val in blob.items()}
+        if not isinstance(val, (str, int, float)):  # bool is an int
+            parser.error(f"config key {key!r} must be a string, a number "
+                         f"or a boolean, not {json.dumps(val)}")
+        flag = "--" + key.replace("_", "-")
+        if val is not False:
+            argv.append(flag if val is True else f"{flag}={val}")
+    return argv
 
 
 def _run_config_from_args(args):
-    weight = _parse_weight(args.weight) if isinstance(args.weight, str) \
-        else (tuple(args.weight) if args.weight else None)
-    order = _parse_order(args.order) if isinstance(args.order, str) \
-        else (tuple(map(tuple, args.order)) if args.order else None)
-    checks = tuple(args.checks.split(",")) if isinstance(args.checks, str) \
-        else tuple(args.checks or ())
     return pipeline.RunConfig(
-        system=args.type, weight=weight, order_functionals=order,
-        checks=checks, cap=args.cap, cross_check=args.cross_check,
+        system=args.type,
+        weight=_parse_weight(args.weight) if args.weight else None,
+        order_functionals=_parse_order(args.order) if args.order else None,
+        checks=tuple(args.checks.split(",")), cap=args.cap,
+        cross_check=args.cross_check,
     )
 
 
@@ -103,8 +110,6 @@ def cmd_compute(args, parser):
           f"left cells {len(result.left)}, "
           f"two-sided cells {len(result.two_sided)}")
     if result.left_chars is not None:
-        from collections import Counter
-
         print("cell characters by two-sided cell:")
         by_ts = pipeline.chars_by_two_sided(result)
         for t in sorted(by_ts):
@@ -238,9 +243,8 @@ def cmd_dump(args, parser):
     return 0
 
 
-def build_parser(defaults=None):
-    """The argument parser; ``defaults`` replace the option defaults of
-    every subcommand (explicit flags still win)."""
+def build_parser():
+    """The argument parser of all subcommands."""
     parser = argparse.ArgumentParser(
         prog="klcells",
         description="Kazhdan-Lusztig bases, M-polynomials and cells of "
@@ -298,19 +302,19 @@ def build_parser(defaults=None):
     p.add_argument("--table", choices=("p", "mu"), default="p")
     p.add_argument("--element", help="filter rows whose y or w is this word")
     p.set_defaults(func=cmd_dump)
-    for p in sub.choices.values():
-        p.set_defaults(**(defaults or {}))
     return parser
 
 
 def main(argv=None):
+    argv = _sysmod.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "config", None):
-        # the file's values become defaults, so argparse lets every
-        # explicit flag win, however it is spelled
-        parser = build_parser(_config_defaults(args, parser))
-        args = parser.parse_args(argv)
+        # the file's options go ahead of the user's own, so argparse lets
+        # every explicit flag win, however it is spelled
+        at = argv.index(args.command) + 1
+        args = parser.parse_args(
+            argv[:at] + _config_argv(args, parser) + argv[at:])
     try:
         return args.func(args, parser)
     except (reps.CharacterDataError, kl_mod.KLError, OverflowError,

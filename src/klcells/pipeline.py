@@ -18,6 +18,7 @@ import json
 import os
 import re
 import shutil
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -26,13 +27,8 @@ from . import cells as cells_mod
 from . import kl as kl_mod
 from . import reps as reps_mod
 from . import weights as weights_mod
-from .coxeter import build_system
+from .coxeter import build_system, parse_type
 from .laurent import MonomialOrder, MonomialSpace, poly_json, poly_text
-
-_TABLE_FOR_TYPE = {
-    "A1": "a1", "A2": "a2", "A3": "a3", "B3": "b3", "B4": "b4", "F4": "f4",
-    "I2:4": "i2_4", "I2:6": "i2_6", "I2:8": "i2_8",
-}
 
 CHECKS = ("lemmas", "bounds", "bar", "L", "oracle")
 
@@ -94,15 +90,15 @@ class RunResult(weights_mod.Analysis):
 
 
 def chart_for(sys):
-    """``(table, class_map)`` of the character table bundled for the
-    system's type, or None when there is none; a table that does not fit
-    the system raises ``CharacterDataError``."""
-    key = _TABLE_FOR_TYPE.get(sys.spec.name.replace("_", "").upper()
-                              .replace("I2(", "I2:").rstrip(")"))
-    if key is None:
-        return None
-    table = reps_mod.load_bundled_table(key)
-    return table, reps_mod.table_for_system(sys, table)
+    """``(table, class_map)`` of the bundled table whose type, read from
+    its file name (``i2_6`` is I2:6), has the system's Coxeter matrix, or
+    None; a table that does not fit raises ``CharacterDataError``."""
+    for path in reps_mod.BUNDLED_TABLES.iterdir():
+        name = path.name.removesuffix(".json")
+        if parse_type(name.replace("_", ":")).matrix == sys.spec.matrix:
+            table = reps_mod.load_bundled_table(name)
+            return table, reps_mod.table_for_system(sys, table)
+    return None
 
 
 def run_pipeline(config, sys=None, progress=None):
@@ -399,8 +395,6 @@ def chars_by_two_sided(result):
 
 def _two_sided_labels(result):
     """Display labels for two-sided blocks from their cell characters."""
-    from collections import Counter
-
     by_ts = chars_by_two_sided(result)
     names = []
     for t in range(len(result.two_sided.blocks)):
@@ -549,6 +543,14 @@ def scan_to_text(report):
             f"left cells {c['left_cells']}, two-sided {c['two_sided_cells']}"
         )
         lines.append("           " + "; ".join(c["intervals"]))
+    # findings, not failures: the scan still exits 0
+    for i, reg in enumerate(report.regions):
+        failed = " and ".join(name for name, ok in (
+            ("at its weight", reg.distinguished.ok),
+            ("in its order", reg.order_distinguished_ok is not False)) if not ok)
+        if failed:
+            lines.append(f"  region {i:02d} ({reg.interval_text()}): "
+                         f"distinguished involutions fail {failed}")
     return "\n".join(lines) + "\n"
 
 

@@ -29,8 +29,6 @@ import numpy as np
 
 from .kl import KLError
 
-_INT64_GUARD = 1 << 26  # refuse int64 matmul once entries could overflow
-
 
 class CharacterDataError(ValueError):
     """Character table file is malformed or fails validation."""
@@ -51,17 +49,10 @@ class CharacterTable:
         identity = self.class_words.index(())
         return [row[identity] for row in self.rows]
 
-    def row_by_label(self, label):
-        return self.rows[self.labels.index(label)]
 
-
-def load_character_table(path_or_file):
-    """Load and validate a character table JSON file."""
-    if hasattr(path_or_file, "read"):
-        raw = json.load(path_or_file)
-    else:
-        with open(path_or_file, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+def load_character_table(fh):
+    """Load and validate a character table from an open JSON file."""
+    raw = json.load(fh)
     try:
         table = CharacterTable(
             name=raw["name"],
@@ -98,13 +89,13 @@ def load_character_table(path_or_file):
     return table
 
 
-def bundled_table_path(name):
-    """Path to a character table shipped with the package."""
-    return resources.files("klcells").joinpath(f"data/chartables/{name}.json")
+BUNDLED_TABLES = resources.files("klcells").joinpath("data/chartables")
 
 
 def load_bundled_table(name):
-    with bundled_table_path(name).open("r", encoding="utf-8") as fh:
+    """The character table shipped as ``<name>.json``."""
+    with BUNDLED_TABLES.joinpath(f"{name}.json").open(
+            "r", encoding="utf-8") as fh:
         return load_character_table(fh)
 
 
@@ -169,35 +160,42 @@ def cell_action_matrices_v1(sys, kl_data, cell, mu_by_sw=None):
     return mats
 
 
-def _word_product(mats, word, dim):
-    acc = np.eye(dim, dtype=np.int64)
-    exact = None
-    for s in word:
-        if exact is None:
-            if dim and np.abs(acc).max() >= _INT64_GUARD:
-                exact = acc.astype(object)
-            else:
-                acc = acc @ mats[s]
-                continue
-        exact = exact @ mats[s].astype(object)
-    return acc if exact is None else exact
+def word_products(mats, words, dim):
+    """Yield each of ``words``, sorted, with the int64 product of
+    ``mats`` along it.  Sorted, no earlier word shares a longer prefix
+    with a word than the one just before it, so a stack of the products
+    of shared prefixes multiplies every distinct prefix once.  Each
+    product whose entries' bound ``dim * max|A| * max|M_s|`` reaches
+    2**63 raises ``OverflowError`` instead."""
+    top = [int(np.abs(m).max()) for m in mats]
+    words = sorted(words)
+    stack = [(np.eye(dim, dtype=np.int64), 1)]
+    for word, nxt in zip(words, words[1:] + [()]):
+        keep = next((i for i, (a, b) in enumerate(zip(word, nxt)) if a != b),
+                    min(len(word), len(nxt)))
+        acc, bound = stack[-1]
+        for depth in range(len(stack), len(word) + 1):
+            s = word[depth - 1]
+            if dim * bound * top[s] >= 1 << 63:
+                raise OverflowError(f"cell of size {dim}: product along "
+                                    f"{word[:depth]} could pass int64")
+            acc = acc @ mats[s]
+            bound = int(np.abs(acc).max())
+            if depth <= keep:
+                stack.append((acc, bound))
+        yield word, acc
+        del stack[keep + 1:]
 
 
 def check_group_relations(sys, mats, dim):
-    """Quadratic and braid relations for the specialized matrices."""
+    """The pairs s <= t whose relation (st)^m_st = 1 fails for the
+    specialized matrices: quadratic for s = t, braid otherwise."""
+    pair_of = {(s, t) * sys.spec.matrix[s][t]: (s, t)
+               for s in range(sys.rank) for t in range(s, sys.rank)}
     eye = np.eye(dim, dtype=np.int64)
-    bad = []
-    for s in range(sys.rank):
-        if not np.array_equal(mats[s] @ mats[s], eye):
-            bad.append(("quadratic", s))
-    for s in range(sys.rank):
-        for t in range(s + 1, sys.rank):
-            m = sys.spec.matrix[s][t]
-            prod = _word_product(mats, (s, t) * m, dim)
-            if not np.array_equal(np.asarray(prod, dtype=object),
-                                  np.asarray(eye, dtype=object)):
-                bad.append(("braid", s, t))
-    return bad
+    return sorted(pair_of[word] for word, prod in
+                  word_products(mats, pair_of, dim)
+                  if not np.array_equal(prod, eye))
 
 
 def cell_character(sys, kl_data, cell, mu_by_sw=None):
@@ -207,16 +205,10 @@ def cell_character(sys, kl_data, cell, mu_by_sw=None):
     classes (representatives as produced by ``sys.conjugacy_classes``).
     """
     mats = cell_action_matrices_v1(sys, kl_data, cell, mu_by_sw)
-    dim = len(cell)
-    values = []
-    for rep, _ in sys.conjugacy_classes():
-        prod = _word_product(mats, sys.words[rep], dim)
-        tr = prod.trace()
-        tr = int(tr)
-        values.append(tr)
-    if values[0] != dim:
-        raise KLError("character degree != cell size")
-    return values
+    words = [sys.words[rep] for rep, _ in sys.conjugacy_classes()]
+    trace = {word: sum(prod.diagonal().tolist())
+             for word, prod in word_products(mats, words, len(cell))}
+    return [trace[word] for word in words]
 
 
 def all_cell_characters(sys, kl_data, left):
@@ -248,6 +240,7 @@ def decompose(values, table, class_map):
     anything else signals a mismatched table and raises.
     """
     mults = []
+    recon = [0] * len(values)
     for label, row, norm in zip(table.labels, table.rows, table.norms):
         dot = sum(sz * a * values[ci] for sz, a, ci in
                   zip(table.class_sizes, row, class_map))
@@ -261,12 +254,8 @@ def decompose(values, table, class_map):
             raise CharacterDataError(f"negative multiplicity for {label}: {m}")
         if m:
             mults.append((label, m))
-    # exact reconstruction
-    recon = [0] * len(values)
-    for label, m in mults:
-        row = table.row_by_label(label)
-        for j, ci in enumerate(class_map):
-            recon[ci] += m * row[j]
+            for a, ci in zip(row, class_map):
+                recon[ci] += m * a
     if recon != list(values):
         raise CharacterDataError("multiplicities do not reconstruct the character")
     return mults

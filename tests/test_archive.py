@@ -118,6 +118,19 @@ def test_scan_golden_bytes(tmp_path, capsys, case):
     assert got == digests
 
 
+def test_c3_archive_equals_b3(tmp_path, capsys):
+    # C3 and B3 have one Coxeter matrix, so one character table
+    entries = []
+    for name in ("C3", "B3"):
+        assert cli.main(["compute", "--type", name, "--weight", "2,1,1",
+                         "--out", str(tmp_path / name)]) == 0
+        entry, = (tmp_path / name).iterdir()
+        entries.append({p.name: p.read_bytes() for p in entry.iterdir()
+                        if p.name != "meta.json"})
+    assert "chars.json" in entries[0]
+    assert entries[0] == entries[1]
+
+
 def _compute(root, *extra):
     return cli.main(["compute", "--type", "I2:4", "--weight", "2,1",
                      "--out", str(root), *extra])

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from klcells import cli, kl, pipeline, reps, weights
@@ -191,6 +192,23 @@ def test_character_post_condition_exits_1(tmp_path, capsys, monkeypatch,
     assert not out.exists() or not any(out.iterdir())
 
 
+def test_cell_character_past_int64_exits_1(tmp_path, capsys, monkeypatch):
+    # products that could pass int64 refuse to run: one error line, exit
+    # 1, and no entry
+    def huge(sys, kl_data, cell, mu_by_sw=None):
+        return [np.full((len(cell),) * 2, 1 << 40, dtype=np.int64)
+                for _ in range(sys.rank)]
+
+    monkeypatch.setattr(reps, "cell_action_matrices_v1", huge)
+    out = tmp_path / "runs"
+    assert cli.main(["compute", "--type", "I2:4", "--weight", "2,1",
+                     "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") \
+        and "int64" in err[0]
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_cli_import_does_not_load_scipy():
     # scipy is imported by the bar-identity check only, so it stays out of
     # the start-up time of every command
@@ -250,6 +268,36 @@ def test_config_file_never_overrides_an_explicit_flag(tmp_path, capsys):
         assert error in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, blob", [
+    (["compute"], {"weight": 5}),
+    (["compute", "--weight", "2,1"], {"checks": 5}),
+    (["scan"], {"jobs": 2.5}),
+    (["compute", "--weight", "2,1"], {"cap": 100.5}),
+    (["compute", "--weight", "2,1"], {"verbose": "no"}),
+    (["compute"], {"weight": [2, 1]}),
+    (["compute", "--weight", "2,1"], {"checks": {"bar": True}}),
+    (["compute", "--weight", "2,1"], {"weight": None}),
+])
+def test_config_values_are_command_line_text(tmp_path, capsys, argv, blob):
+    # a value is read as the text of its option, so argparse and the run
+    # configuration reject it as they would on the command line; a list,
+    # an object or null is no command-line text at all
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(blob))
+    argv = argv[:1] + ["--type", "I2:4", "--config", str(cfgfile),
+                       "--out", str(tmp_path / "runs")] + argv[1:]
+    try:
+        rc = cli.main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    assert rc == 2
+    err = capsys.readouterr().err
+    if not isinstance(next(iter(blob.values())), (str, int, float)):
+        assert err.count("usage:") == 1
+        assert "must be a string, a number or a boolean" in err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_dump_element_matches_only_y_and_w(tmp_path, capsys):
     assert cli.main(["compute", "--type", "I2:4", "--weight", "2,1",
                      "--out", str(tmp_path)]) == 0
@@ -276,6 +324,43 @@ def test_scan_post_condition_exits_1(tmp_path, capsys, monkeypatch):
     assert cli.main(["scan", "--type", "A3", "--out", str(out)]) == 2
     assert capsys.readouterr().err.splitlines() == [
         "error: scan requires exactly two generator classes"]
+
+
+def test_scan_prints_failed_distinguished_reports(tmp_path, capsys,
+                                                 monkeypatch):
+    # a failed distinguished-involution report is a finding: one line per
+    # region in stdout and scan.txt, and the scan still exits 0
+    real = weights.distinguished_involutions
+
+    def failing(*args, **kwargs):
+        report = real(*args, **kwargs)
+        report.violations.append(("planted", 0))
+        return report
+
+    monkeypatch.setattr(weights, "distinguished_involutions", failing)
+    assert cli.main(["scan", "--type", "B3", "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    scan = json.loads((tmp_path / "scan" / "scan.json").read_text())
+    want = [f"  region {i:02d} ({reg['interval']}): distinguished "
+            f"involutions fail at its weight"
+            + ("" if reg["exact"] else " and in its order")
+            for i, reg in enumerate(scan["regions"])]
+    text = (tmp_path / "scan" / "scan.txt").read_text()
+    assert text.splitlines()[-len(want):] == want
+    assert out.startswith(text)
+
+
+def test_scan_g2_has_the_characters_of_i2_6(tmp_path, capsys):
+    # characters are found by the Coxeter matrix, whatever the type's name
+    got = []
+    for name in ("G2", "I2:6"):
+        out = tmp_path / name.replace(":", "_")
+        assert cli.main(["scan", "--type", name, "--chars",
+                         "--out", str(out)]) == 0
+        scan = json.loads((out / "scan" / "scan.json").read_text())
+        got.append([(reg["interval"], reg["partition_digest"],
+                     reg["cell_characters"]) for reg in scan["regions"]])
+    assert got[0] == got[1]
 
 
 def test_scan_pool_has_one_worker_per_exact_run(tmp_path, capsys,

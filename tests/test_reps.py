@@ -1,6 +1,7 @@
 import io
 import json
 
+import numpy as np
 import pytest
 
 import chargen
@@ -56,6 +57,48 @@ def test_table_for_system_mismatch(i24, a2):
     assert reps.table_for_system(i24, table) == [0, 1, 2, 3, 4]
     with pytest.raises(reps.CharacterDataError):
         reps.table_for_system(a2, table)
+
+
+@pytest.mark.parametrize("spellings", [
+    ("G2", "I2:6", "I_2(6)"), ("B2", "I2:4"), ("C3", "B3"), ("C4", "B4"),
+    ("I2:3", "A2")])
+def test_chart_for_reads_the_coxeter_matrix(spellings):
+    from klcells import pipeline
+
+    charts = [pipeline.chart_for(system(name)) for name in spellings]
+    assert all(c is not None for c in charts)
+    assert len({(t.name, repr(t.rows), tuple(m)) for t, m in charts}) == 1
+
+
+@pytest.mark.parametrize("name", ["H3", "A1xA1"])
+def test_chart_for_without_a_table(name):
+    from klcells import pipeline
+
+    assert pipeline.chart_for(system(name)) is None
+
+
+def test_word_products_match_the_plain_product():
+    # the prefix walk against one matrix product per letter of each word
+    sys, data, left = weight_run("B3", (2, 1, 1))
+    words = [sys.words[rep] for rep, _ in sys.conjugacy_classes()]
+    for blk in left.blocks:
+        mats = reps.cell_action_matrices_v1(sys, data, blk)
+        got = list(reps.word_products(mats, words, len(blk)))
+        assert [word for word, _ in got] == sorted(words)
+        for word, prod in got:
+            want = np.eye(len(blk), dtype=np.int64)
+            for s in word:
+                want = want @ mats[s]
+            assert np.array_equal(prod, want), (blk, word)
+
+
+def test_word_products_refuse_int64_overflow():
+    # 3 * 2**31 * 2**31 passes 2**63; one factor alone does not
+    big = np.full((3, 3), 1 << 31, dtype=np.int64)
+    (_, prod), = reps.word_products([big], [(0,)], 3)
+    assert prod.max() == 1 << 31
+    with pytest.raises(OverflowError):
+        list(reps.word_products([big], [(0, 0)], 3))
 
 
 def test_dixon_matches_closed_form_dihedral(i24, i26):
