@@ -155,49 +155,39 @@ def cmd_check(args, parser):
             failures += 1
 
     sys_ = build_system(args.type, cap=args.cap)
-    if args.type.upper().replace("_", "") == "F4" and not args.weight:
-        results = {}
-        for case, wt in _F4_CASES:
-            cfg = pipeline.RunConfig(system="F4", weight=wt, checks=("L",))
-            res = pipeline.run_pipeline(cfg, sys=sys_)
-            results[case] = res
-            line(res.reports["property_L"].ok,
-                 f"F4 {case} {wt}: left preorder trivial on two-sided cells")
-            dist = res.distinguished
-            line(dist is not None and dist.ok,
-                 f"F4 {case} {wt}: unique involution minimizers with unit "
-                 f"leading coefficient")
-            ok, detail = pipeline.match_reference_order(res, case)
-            line(ok, f"F4 {case} {wt}: two-sided order diagram matches "
-                     f"reference ({len(res.two_sided)} blocks)")
-            ok, detail = pipeline.match_reference_constructible(res, case)
-            line(ok, f"F4 {case} {wt}: cell characters equal the "
-                     f"constructible list")
+    f4 = args.type.upper().replace("_", "") == "F4" and not args.weight
+    cases = _F4_CASES if f4 else [(None, _parse_weight(args.weight)
+                                   if args.weight else (1,) * sys_.rank)]
+    results = {}
+    for case, wt in cases:
+        cfg = pipeline.RunConfig(system=args.type, weight=wt, checks=("L",))
+        res = results[case] = pipeline.run_pipeline(cfg, sys=sys_)
+        head = f"F4 {case} {wt}" if case else f"{args.type} {wt}"
+        line(res.reports["property_L"].ok,
+             f"{head}: left preorder trivial on two-sided cells")
+        line(res.distinguished.ok, f"{head}: unique involution minimizers "
+                                   f"with unit leading coefficient")
+        if case:
+            ok, _ = pipeline.match_reference_order(res, case)
+            line(ok, f"{head}: two-sided order diagram matches reference "
+                     f"({len(res.two_sided)} blocks)")
+            ok, _ = pipeline.match_reference_constructible(res, case)
+            line(ok, f"{head}: cell characters equal the constructible list")
+        elif res.left_chars is not None:
+            line(True, f"{head}: cell characters decompose integrally "
+                       f"({len(res.left_chars)} cells)")
+    if f4:
         # refinement between the named regions: every exact-ratio class
         # refines into the chambers adjacent to it on the ratio line
-        eq, b2a = results["equal"], results["b2a"]
-        betw, bey = results["between"], results["beyond"]
+        eq, b2a = results["equal"].left, results["b2a"].left
+        betw, bey = results["between"].left, results["beyond"].left
         refines = cells.check_union_refinement
-        line(not refines(eq.left, betw.left),
+        line(not refines(eq, betw),
              "F4: cells at a=b are unions of cells at 2a>b>a")
-        line(not refines(b2a.left, bey.left),
+        line(not refines(b2a, bey),
              "F4: cells at b=2a are unions of cells at b>2a")
-        line(not refines(b2a.left, betw.left),
+        line(not refines(b2a, betw),
              "F4: cells at b=2a are unions of cells at 2a>b>a")
-        return min(failures, 255)
-
-    weight = _parse_weight(args.weight) if args.weight else \
-        tuple([1] * sys_.rank)
-    cfg = pipeline.RunConfig(system=args.type, weight=weight, checks=("L",))
-    res = pipeline.run_pipeline(cfg, sys=sys_)
-    line(res.reports["property_L"].ok,
-         f"{args.type} {weight}: left preorder trivial on two-sided cells")
-    dist = res.distinguished
-    line(dist is not None and dist.ok,
-         f"{args.type} {weight}: unique involution minimizers")
-    if res.left_chars is not None:
-        line(True, f"{args.type} {weight}: cell characters decompose "
-                   f"integrally ({len(res.left_chars)} cells)")
     return min(failures, 255)
 
 
@@ -258,7 +248,6 @@ def build_parser():
         p.add_argument("--cap", type=int, default=20000,
                        help="element cap for enumeration")
         p.add_argument("--config", help="JSON file with default options")
-        p.add_argument("--verbose", action="store_true")
 
     p = sub.add_parser("compute", help="run the full pipeline once")
     common(p)
@@ -272,6 +261,7 @@ def build_parser():
     p.add_argument("--out", default="runs", help="archive root directory")
     p.add_argument("--force", action="store_true",
                    help="recompute even when a cached archive entry exists")
+    p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser("scan", help="scan all weight functions by ratio")
@@ -281,6 +271,7 @@ def build_parser():
                    help="decompose cell characters per region")
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes for exact-ratio regions")
+    p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("check", help="verification battery")

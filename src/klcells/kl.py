@@ -58,6 +58,8 @@ from .laurent import (
     symmetrize_nonneg,
 )
 
+ORACLE_LIMIT = 48   # largest group oracle_kl takes; its cost grows fast
+
 
 class KLError(AssertionError):
     """A runtime post-condition failed: of the canonical-basis recursion,
@@ -410,7 +412,7 @@ def compute_r(sys, params, space):
     return {(x, y): p for y, row in enumerate(rows) for x, p in row.items()}
 
 
-def oracle_kl(sys, params, order, *, limit=48):
+def oracle_kl(sys, params, order):
     """Independent canonical-basis computation from bar-invariance alone.
 
     For each w the triangular system imposed by bar(C_w) = C_w and the
@@ -419,11 +421,11 @@ def oracle_kl(sys, params, order, *, limit=48):
 
         bar(P*)_{x,w} - P*_{x,w} = sum over x < y <= w of R_{x,y} P*_{y,w},
 
-    with no M-polynomials involved.  Cost grows fast; guarded by
-    ``limit`` on the group size.
+    with no M-polynomials involved; a group past ``ORACLE_LIMIT`` is refused.
     """
-    if sys.size > limit:
-        raise ValueError(f"oracle limited to groups of size <= {limit}")
+    if sys.size > ORACLE_LIMIT:
+        raise ValueError(
+            f"oracle limited to groups of size <= {ORACLE_LIMIT}")
     validate_params(sys, params, order)
     space = order.space
     one = space.one
@@ -477,40 +479,6 @@ class CheckReport:
             return f"[{self.name}] inconclusive: {self.inconclusive}"
         state = "ok" if self.ok else f"{len(self.violations)} violation(s)"
         return f"[{self.name}] {self.checked} checked, {state}"
-
-
-def verify_bar_identity(kl, rtab=None, pairs=None):
-    """Check bar(P*)_{x,w} - P*_{x,w} = sum R_{x,y} P*_{y,w} for x < w.
-
-    ``pairs`` restricts the check (default: every stored pair).  This
-    entry-by-entry form is the independent reference for
-    :func:`verify_bar_identity_full`.
-    """
-    sys, space, one = kl.sys, kl.space, kl.space.one
-    report = CheckReport("bar-identity")
-    if pairs is None:
-        pairs = [(x, w) for w in range(sys.size) for x in kl.rows[w] if x != w]
-    by_w = {}
-    for x, w in pairs:
-        by_w.setdefault(w, []).append(x)
-    if rtab is None:
-        rtab = compute_r(sys, kl.params, space)
-    for w, xs in by_w.items():
-        row = kl.rows[w]
-        for x in xs:
-            acc = {}
-            for y, p in row.items():
-                if y == x:
-                    continue
-                r = rtab.get((x, y))
-                if r:
-                    padd_into(acc, pmul(r, p, one))
-            pxw = row.get(x, {})
-            lhs = psub(pbar(pxw, space), pxw)
-            report.checked += 1
-            if lhs != acc:
-                report.violations.append((x, w))
-    return report
 
 
 def _distinct(polys):

@@ -115,6 +115,9 @@ def run_pipeline(config, sys=None, progress=None):
         space = MonomialSpace(len(sys.gen_classes))
         _, params = kl_mod.class_params(sys, space)
         order = MonomialOrder(space, config.order_functionals)
+    checks = set(config.checks)
+    if "oracle" in checks:      # refuses a large group before any table
+        oracle = kl_mod.oracle_kl(sys, params, order)
     data = kl_mod.compute_kl(sys, params, order, progress=progress)
     gamma = weights_mod.gamma_plus_W(data)
     # an order run on a multi-class space has no coordinate weights
@@ -124,7 +127,6 @@ def run_pipeline(config, sys=None, progress=None):
                        right=cells_mod.right_cells(sys, found.left),
                        gamma=gamma)
 
-    checks = set(config.checks)
     if "lemmas" in checks:
         result.reports["lemma_p"] = kl_mod.check_lemma_p(data)
         result.reports["lemma_m"] = kl_mod.check_lemma_m(data)
@@ -138,7 +140,6 @@ def run_pipeline(config, sys=None, progress=None):
         rep.violations = viol
         result.reports["property_L"] = rep
     if "oracle" in checks:
-        oracle = kl_mod.oracle_kl(sys, params, order)
         rep = kl_mod.CheckReport("oracle", checked=sys.size)
         if not kl_mod.tables_equal(data, oracle):
             rep.violations.append("tables differ")
@@ -203,19 +204,20 @@ def _dump_json(path, obj):
 
 
 def write_archive(result, outdir):
-    """Write all dumps for a run; returns the archive directory.
+    """Write all dumps for a run into ``outdir/<key>``; returns the entry."""
+    return _replace_dir(Path(outdir) / result.config.key(),
+                        lambda tmp: _write_entry(result, tmp))
 
-    The entry is built in a temporary sibling directory, ``meta.json``
-    last, and renamed into place only when complete, so an interrupted
-    run leaves no entry and an existing entry is replaced whole.
-    Temporary directories of writers that are no longer running are
-    removed first.
-    """
-    root = Path(outdir)
-    key = result.config.key()
-    entry = root / key
-    tmp = root / f".{key}.{os.getpid()}.tmp"
-    old = root / f".{key}.{os.getpid()}.old"
+
+def _replace_dir(target, write):
+    """Build directory ``target`` with ``write(tmp)`` in a temporary
+    sibling and rename it into place only when complete, so an
+    interrupted run leaves nothing and an existing directory is replaced
+    whole.  Temporary directories of writers that are no longer running
+    are removed first."""
+    root = target.parent
+    tmp = root / f".{target.name}.{os.getpid()}.tmp"
+    old = root / f".{target.name}.{os.getpid()}.old"
     root.mkdir(parents=True, exist_ok=True)
     _sweep_stale(root)
     for stale in (tmp, old):
@@ -223,24 +225,24 @@ def write_archive(result, outdir):
             shutil.rmtree(stale)
     tmp.mkdir()
     try:
-        _write_entry(result, tmp)
+        write(tmp)
     except BaseException:
         shutil.rmtree(tmp)
         raise
-    if entry.exists():
-        entry.rename(old)
-    tmp.rename(entry)
+    if target.exists():
+        target.rename(old)
+    tmp.rename(target)
     if old.exists():
         shutil.rmtree(old)
-    return entry
+    return target
 
 
-_TEMP_DIR_RE = re.compile(r"\.[0-9a-f]{16}\.(\d{1,9})\.(?:tmp|old)")
+_TEMP_DIR_RE = re.compile(r"\.(?:[0-9a-f]{16}|scan)\.(\d{1,9})\.(?:tmp|old)")
 
 
 def _sweep_stale(root):
-    """Remove ``.<key>.<pid>.tmp``/``.old`` directories whose pid is not
-    running; a directory of a live pid is never touched."""
+    """Remove ``.<key or scan>.<pid>.tmp``/``.old`` directories whose pid
+    is not running; a directory of a live pid is never touched."""
     for path in root.iterdir():
         m = _TEMP_DIR_RE.fullmatch(path.name)
         if m is None or not path.is_dir():
@@ -353,13 +355,8 @@ def _write_entry(result, outdir):
     if result.distinguished is not None:
         d = result.distinguished
         _dump_json(outdir / "distinguished.json", {
-            "per_cell": [
-                {"cell": e["cell"], "d": sys.word_text(e["d"]),
-                 "delta": e["delta"], "n": e["n"],
-                 "unique": e["unique"], "involution": e["involution"],
-                 "n_unit": e["n_unit"]}
-                for e in d.per_cell
-            ],
+            "per_cell": [dict(e, d=sys.word_text(e["d"]))
+                         for e in d.per_cell],
             "violations": [repr(v) for v in d.violations],
         })
 
@@ -424,48 +421,31 @@ def _char_key(mult_list):
 
 
 def match_reference_order(result, case):
-    """Label-respecting isomorphism check against a reference diagram.
+    """Compare the two-sided order with a published diagram.
 
-    Each computed two-sided block is identified by the set of distinct
-    left-cell characters it carries; that set must match exactly one
-    reference node, the matching must be a bijection, and the Hasse
-    edges must coincide under it.  ``result`` is an ``Analysis``.
-    Returns (ok, detail dict).
+    Each computed two-sided block and each reference node is named by
+    the set of its left cells' character keys, as a sorted tuple.  The
+    diagrams agree when the names are distinct on each side, the two
+    name sets are equal and so are the Hasse edges as pairs of names.
+    ``result`` is an ``Analysis``.  Returns (ok, detail dict).
     """
-    ref = load_reference("cellorder", case)
-    two_sided = result.two_sided
     if result.left_chars is None:
         return False, {"error": "no cell characters computed"}
-    computed = {t: set(map(_char_key, cells))
-                for t, cells in chars_by_two_sided(result).items()}
-    ref_sets = {node["label"]: frozenset(_char_key(c) for c in node["cells"])
-                for node in ref["nodes"]}
-    detail = {"case": case, "computed_blocks": len(computed),
-              "reference_nodes": len(ref_sets)}
-    if len(computed) != len(ref_sets):
-        detail["error"] = "block count mismatch"
-        return False, detail
-    mapping = {}
-    for t, charset in computed.items():
-        hits = [lab for lab, rs in ref_sets.items() if rs == frozenset(charset)]
-        if len(hits) != 1:
-            detail["error"] = f"block {t} matches {len(hits)} reference nodes"
-            return False, detail
-        mapping[t] = hits[0]
-    if len(set(mapping.values())) != len(mapping):
-        detail["error"] = "matching is not a bijection"
-        return False, detail
-    computed_edges = {(mapping[a], mapping[b])
-                      for a, b in two_sided.reduction}
-    ref_edges = {tuple(e) for e in ref["hasse_low_to_high"]}
-    detail["mapping"] = {str(t): lab for t, lab in sorted(mapping.items())}
-    if computed_edges != ref_edges:
-        detail["error"] = {
-            "missing": sorted(ref_edges - computed_edges),
-            "extra": sorted(computed_edges - ref_edges),
-        }
-        return False, detail
-    return True, detail
+    ref = load_reference("cellorder", case)
+
+    def name(cells):
+        return tuple(sorted(set(map(_char_key, cells))))
+
+    names = {t: name(c) for t, c in chars_by_two_sided(result).items()}
+    ref_names = {node["label"]: name(node["cells"]) for node in ref["nodes"]}
+    edges = {(names[a], names[b]) for a, b in result.two_sided.reduction}
+    ref_edges = {(ref_names[a], ref_names[b])
+                 for a, b in ref["hasse_low_to_high"]}
+    got = sorted(names.values())    # the reference's names, none repeated
+    ok = (got == sorted(ref_names.values()) and len(set(got)) == len(got)
+          and edges == ref_edges)
+    return ok, {"case": case, "missing": sorted(ref_edges - edges),
+                "extra": sorted(edges - ref_edges)}
 
 
 def match_reference_constructible(result, case):
@@ -555,19 +535,19 @@ def scan_to_text(report):
 
 
 def write_scan(report, outdir, sys):
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    _dump_json(outdir / "scan.json", scan_to_json(report))
-    with open(outdir / "scan.txt", "w", encoding="utf-8") as fh:
-        fh.write(scan_to_text(report))
-    for i, reg in enumerate(report.regions):
-        tag = f"region_{i:02d}"
-        with open(outdir / f"{tag}.dot", "w", encoding="utf-8") as fh:
-            fh.write(cells_mod.dot_export(sys, reg.two_sided))
-            fh.write("\n")
-        _dump_json(outdir / f"{tag}_cells.json", {
-            "interval": reg.interval_text(),
-            "weight": reg.weight,
-            "left": reg.left.as_words(sys),
-        })
-    return outdir
+    """Write the scan files into ``outdir``, replaced whole like an
+    archive entry; returns ``outdir``."""
+    def write(tmp):
+        _dump_json(tmp / "scan.json", scan_to_json(report))
+        (tmp / "scan.txt").write_text(scan_to_text(report), encoding="utf-8")
+        for i, reg in enumerate(report.regions):
+            tag = f"region_{i:02d}"
+            (tmp / f"{tag}.dot").write_text(cells_mod.dot_export(
+                sys, reg.two_sided) + "\n", encoding="utf-8")
+            _dump_json(tmp / f"{tag}_cells.json", {
+                "interval": reg.interval_text(),
+                "weight": reg.weight,
+                "left": reg.left.as_words(sys),
+            })
+
+    return _replace_dir(Path(outdir), write)

@@ -187,17 +187,6 @@ def word_products(mats, words, dim):
         del stack[keep + 1:]
 
 
-def check_group_relations(sys, mats, dim):
-    """The pairs s <= t whose relation (st)^m_st = 1 fails for the
-    specialized matrices: quadratic for s = t, braid otherwise."""
-    pair_of = {(s, t) * sys.spec.matrix[s][t]: (s, t)
-               for s in range(sys.rank) for t in range(s, sys.rank)}
-    eye = np.eye(dim, dtype=np.int64)
-    return sorted(pair_of[word] for word, prod in
-                  word_products(mats, pair_of, dim)
-                  if not np.array_equal(prod, eye))
-
-
 def cell_character(sys, kl_data, cell, mu_by_sw=None):
     """Character of the W-representation carried by a left cell.
 

@@ -105,47 +105,30 @@ def gamma_plus_W(kl_data):
     return out
 
 
-def delta_of_element(kl_data, w):
-    """Top monomial delta_w^-1 of P*_{1,w}, returned as delta_w (positive).
-
-    delta of the identity is the trivial monomial by convention.
-    """
-    if w == 0:
-        return kl_data.space.one
-    p = kl_data.rows[w].get(0)
-    if not p:
-        return None
-    top = max(p, key=kl_data.order.key)
-    return kl_data.space.inv(top)
-
-
 def gamma_plus_prime_W(kl_data, left, gamma):
     """Enlarged set certifying distinguished-involution data as well.
 
     ``gamma`` is ``gamma_plus_W(kl_data)``; it is copied, not changed.
     Adds (a) the ratio of the top monomial of each P*_{1,w} to every
     lower monomial, and (b) the consecutive ratios of the sorted
-    distinct delta values inside each left cell.
+    distinct delta_w = top^-1 inside each left cell (delta_1 = 1).
     """
     space = kl_data.space
     inv = space.inv
     key = kl_data.order.key
     out = set(gamma)
+    delta = {0: space.one}
     for w in range(1, kl_data.sys.size):
         p = kl_data.rows[w].get(0)
         if not p:
             continue
         top = max(p, key=key)
+        delta[w] = inv(top)
         for m in p:
             if m != top:
                 out.add(space.mul(top, inv(m)))
     for blk in left.blocks:
-        deltas = set()
-        for w in blk:
-            d = delta_of_element(kl_data, w)
-            if d is not None:
-                deltas.add(d)
-        distinct = sorted(deltas, key=key)
+        distinct = sorted({delta[w] for w in blk if w in delta}, key=key)
         for a, b in zip(distinct, distinct[1:]):
             out.add(space.mul(inv(a), b))
     return out

@@ -6,6 +6,7 @@ ratio scan, B4 weight grid) are computed once per session and shared.
 Run with ``pytest tests/test_acceptance.py -s`` to see the lines.
 """
 
+import dataclasses
 import time
 from fractions import Fraction
 
@@ -220,6 +221,24 @@ def test_criterion_04_f4_classification(f4_scan):
               "boundaries b=a / b=2a / 2a>b>a / b>2a; two-sided "
               "condensations 11/15/21/21 blocks, diagrams isomorphic to "
               f"the reference (scan {f4_scan.elapsed:.0f}s < 60min)")
+
+
+def test_reference_order_rejects_mutated_regions(f4_scan):
+    # a dropped Hasse edge, or one left cell carrying another cell's
+    # characters, is not the published diagram
+    for case in F4_CASE_RATIOS:
+        region = _case_region(f4_scan, case)
+        assert pipeline.match_reference_order(region, case)[0], case
+        ts = region.two_sided
+        dropped = dataclasses.replace(region, two_sided=dataclasses.replace(
+            ts, reduction=ts.reduction[1:]))
+        ok, detail = pipeline.match_reference_order(dropped, case)
+        assert not ok and len(detail["missing"]) == 1, case
+        swapped = list(region.left_chars)
+        swapped[0] = swapped[1]
+        ok, _ = pipeline.match_reference_order(
+            dataclasses.replace(region, left_chars=swapped), case)
+        assert not ok, case
 
 
 def test_criterion_05_f4_characters(f4_scan):

@@ -212,6 +212,24 @@ def test_temp_dirs_of_live_writers_are_kept(tmp_path, capsys):
         child.wait()
 
 
+def test_scan_replaces_its_whole_directory(tmp_path, capsys):
+    # a 3-region scan over a 5-region one leaves none of the old region
+    # files; the temporary directories of a dead scan writer are swept
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()                        # reaped: its pid runs nothing now
+    for suffix in ("tmp", "old"):
+        stale = tmp_path / f".scan.{child.pid}.{suffix}"
+        stale.mkdir()
+        (stale / "scan.json").write_text("partial\n")
+    for name in ("B3", "I2:6"):
+        assert cli.main(["scan", "--type", name, "--chars",
+                         "--out", str(tmp_path)]) == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["scan"]
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in (tmp_path / "scan").iterdir()}
+    assert got == SCAN_GOLDEN["i2_6"][1]
+
+
 def test_cache_hit_reports_stored_violations(tmp_path, capsys):
     assert _compute(tmp_path) == 0
     capsys.readouterr()

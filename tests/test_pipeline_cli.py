@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from klcells import cli, kl, pipeline, reps, weights
+from klcells import cells, cli, kl, pipeline, reps, weights
 
 from conftest import system
 
@@ -115,6 +115,62 @@ def test_cli_check_small(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+F4_CHECK_LINES = """\
+PASS  F4 equal (1, 1, 1, 1): left preorder trivial on two-sided cells
+PASS  F4 equal (1, 1, 1, 1): unique involution minimizers with unit leading coefficient
+PASS  F4 equal (1, 1, 1, 1): two-sided order diagram matches reference (11 blocks)
+PASS  F4 equal (1, 1, 1, 1): cell characters equal the constructible list
+PASS  F4 b2a (1, 1, 2, 2): left preorder trivial on two-sided cells
+PASS  F4 b2a (1, 1, 2, 2): unique involution minimizers with unit leading coefficient
+PASS  F4 b2a (1, 1, 2, 2): two-sided order diagram matches reference (15 blocks)
+PASS  F4 b2a (1, 1, 2, 2): cell characters equal the constructible list
+PASS  F4 between (2, 2, 3, 3): left preorder trivial on two-sided cells
+PASS  F4 between (2, 2, 3, 3): unique involution minimizers with unit leading coefficient
+PASS  F4 between (2, 2, 3, 3): two-sided order diagram matches reference (21 blocks)
+PASS  F4 between (2, 2, 3, 3): cell characters equal the constructible list
+PASS  F4 beyond (1, 1, 3, 3): left preorder trivial on two-sided cells
+PASS  F4 beyond (1, 1, 3, 3): unique involution minimizers with unit leading coefficient
+PASS  F4 beyond (1, 1, 3, 3): two-sided order diagram matches reference (21 blocks)
+PASS  F4 beyond (1, 1, 3, 3): cell characters equal the constructible list
+PASS  F4: cells at a=b are unions of cells at 2a>b>a
+PASS  F4: cells at b=2a are unions of cells at b>2a
+PASS  F4: cells at b=2a are unions of cells at 2a>b>a
+"""
+
+
+def test_cli_check_f4(capsys):
+    # the four published F4 cases, each against its reference diagram
+    # and constructible list, then the refinements between them
+    assert cli.main(["check", "--type", "F4"]) == 0
+    assert capsys.readouterr().out == F4_CHECK_LINES
+
+
+def test_cli_check_reports_a_failed_line(capsys, monkeypatch):
+    monkeypatch.setattr(cells, "check_property_L",
+                        lambda sys, left, two_sided: [("planted", 0)])
+    assert cli.main(["check", "--type", "B3", "--weight", "2,1,1"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert [ln for ln in out if ln.startswith("FAIL")] == [
+        "FAIL  B3 (2, 1, 1): left preorder trivial on two-sided cells"]
+
+
+def test_cli_check_has_no_verbose(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["check", "--type", "A2", "--verbose"])
+    assert exc.value.code == 2
+
+
+def test_oracle_is_refused_before_any_table(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise RuntimeError("compute_kl ran")
+
+    monkeypatch.setattr(pipeline.kl_mod, "compute_kl", fail)
+    assert cli.main(["compute", "--type", "H3", "--weight", "1,1,1",
+                     "--checks", "oracle", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: oracle limited to groups of size <= 48"]
 
 
 def test_cli_errors(tmp_path, capsys):
