@@ -16,7 +16,7 @@ closures are recomputed on demand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 def left_edges(sys, mu):
@@ -72,23 +72,19 @@ class CellPartition:
     block a <= block b in the left/two-sided preorder.
     """
 
-    kind: str
     blocks: tuple
     block_of: tuple
     reduction: tuple = ()
-    _closure: dict | None = field(default=None, repr=False)
 
     def __len__(self):
         return len(self.blocks)
 
     def closure(self):
         """above[b] = frozenset of blocks >= b (inclusive)."""
-        if self._closure is None:
-            succ = [[] for _ in self.blocks]
-            for a, b in self.reduction:
-                succ[a].append(b)
-            self._closure = _reachable(succ)
-        return self._closure
+        succ = [[] for _ in self.blocks]
+        for a, b in self.reduction:
+            succ[a].append(b)
+        return _reachable(succ)
 
     def as_words(self, sys):
         return [[sys.word_text(w) for w in blk] for blk in self.blocks]
@@ -98,7 +94,7 @@ class CellPartition:
         return tuple(sorted(tuple(sorted(b)) for b in self.blocks))
 
 
-def partition_of_blocks(sys, kind, blocks):
+def partition_of_blocks(sys, blocks):
     """CellPartition of the given blocks, canonically numbered, no DAG.
 
     Each block is sorted; blocks are ordered by the (length, index) pair
@@ -110,12 +106,11 @@ def partition_of_blocks(sys, kind, blocks):
     for i, blk in enumerate(blocks):
         for w in blk:
             block_of[w] = i
-    return CellPartition(kind=kind, blocks=tuple(blocks),
-                         block_of=tuple(block_of))
+    return CellPartition(blocks=tuple(blocks), block_of=tuple(block_of))
 
 
-def _condense(sys, edges, kind):
-    part = partition_of_blocks(sys, kind, _strongly_connected(sys.size, edges))
+def _condense(sys, edges):
+    part = partition_of_blocks(sys, _strongly_connected(sys.size, edges))
     block_of = part.block_of
     dag = {(block_of[a], block_of[b]) for a, b in edges
            if block_of[a] != block_of[b]}
@@ -157,22 +152,20 @@ def _transitive_reduction(n, dag_edges):
 def left_cells(sys, mu):
     """Left cells and the generating edge set."""
     edges = left_edges(sys, mu)
-    return _condense(sys, edges, "left"), edges
+    return _condense(sys, edges), edges
 
 
 def two_sided_cells(sys, edges):
     """Two-sided cells of the left edges together with their images
     under elementwise inversion."""
     inv = sys.inverse
-    return _condense(sys, edges | {(inv[a], inv[b]) for a, b in edges},
-                     "two_sided")
+    return _condense(sys, edges | {(inv[a], inv[b]) for a, b in edges})
 
 
 def right_cells(sys, left):
     """Right cells are the elementwise inverses of the left cells."""
     inv = sys.inverse
-    return partition_of_blocks(sys, "right",
-                               ([inv[w] for w in blk] for blk in left.blocks))
+    return partition_of_blocks(sys, [[inv[w] for w in b] for b in left.blocks])
 
 
 def check_property_L(sys, left, two_sided):

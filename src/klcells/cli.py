@@ -158,12 +158,14 @@ def cmd_check(args, parser):
     f4 = args.type.upper().replace("_", "") == "F4" and not args.weight
     cases = _F4_CASES if f4 else [(None, _parse_weight(args.weight)
                                    if args.weight else (1,) * sys_.rank)]
+    chart = pipeline.chart_for(sys_)
     results = {}
     for case, wt in cases:
-        cfg = pipeline.RunConfig(system=args.type, weight=wt, checks=("L",))
-        res = results[case] = pipeline.run_pipeline(cfg, sys=sys_)
+        _, params, order = kl_mod.weight_params(sys_, wt)
+        res = results[case] = weights.analyse(
+            sys_, kl_mod.compute_kl(sys_, params, order), (1,), chart)
         head = f"F4 {case} {wt}" if case else f"{args.type} {wt}"
-        line(res.reports["property_L"].ok,
+        line(not cells.check_property_L(sys_, res.left, res.two_sided),
              f"{head}: left preorder trivial on two-sided cells")
         line(res.distinguished.ok, f"{head}: unique involution minimizers "
                                    f"with unit leading coefficient")
@@ -195,8 +197,6 @@ def cmd_export(args, parser):
     src = Path(args.archive)
     if not src.exists():
         parser.error(f"archive entry {src} does not exist")
-    dest = Path(args.dest)
-    dest.mkdir(parents=True, exist_ok=True)
     wanted = {
         "dot": ["two_sided.dot"],
         "tsv": ["ptable.tsv", "mutable.tsv"],
@@ -206,15 +206,14 @@ def cmd_export(args, parser):
     names = wanted.get(args.format)
     if names is None:
         names = [n for lst in wanted.values() for n in lst]
-    copied = []
-    for name in names:
-        path = src / name
-        if path.exists():
-            shutil.copyfile(path, dest / name)
-            copied.append(name)
-    if not copied:
+    present = [name for name in names if (src / name).exists()]
+    if not present:
         parser.error("archive entry holds none of the requested files")
-    print(f"exported {', '.join(copied)} -> {dest}")
+    dest = Path(args.dest)
+    dest.mkdir(parents=True, exist_ok=True)
+    for name in present:
+        shutil.copyfile(src / name, dest / name)
+    print(f"exported {', '.join(present)} -> {dest}")
     return 0
 
 

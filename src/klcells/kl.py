@@ -111,7 +111,7 @@ def validate_params(sys, params, order):
         if len(vals) != 1:
             raise ValueError(f"parameters differ on generator class {cl}")
     for s, v in enumerate(params):
-        if not order.is_positive(v):
+        if order.sign(v) <= 0:
             raise ValueError(
                 f"parameter v_{s} is not positive for the given order"
             )
@@ -277,47 +277,40 @@ def compute_kl(sys, params, order, *, progress=None):
         if progress is not None and length[u] != cur_len:
             cur_len = length[u]
             progress(cur_len, u)
-        descents = sys.left_descents(u)
-        s = descents[0]
-        left_s = sys.cayley_left[s]
-        half, mu_local = _half_row(sys, rows, s, u, order, params[s],
-                                   lower[s], intern, products)
-        row = {}
-        for x, p in half.items():
-            row[x] = p = intern(p)
-            row[left_s[x]] = down(p, s)
-        top = row.get(u)
-        if top != {one: 1}:
-            raise KLError(
-                f"leading coefficient of C_{sys.word_text(u)} is not 1: "
-                f"{poly_text(space, top or {}, order)}"
-            )
-        for y, p in row.items():
-            if y == u or id(p) in negative:
-                continue
-            for m in p:
-                if sign(m) >= 0:
-                    raise KLError(
-                        "P*_{%s,%s} = %s has a non-negative monomial; "
-                        "invalid order or implementation fault"
-                        % (sys.word_text(y), sys.word_text(u),
-                           poly_text(space, p, order))
-                    )
-            negative.add(id(p))
-        rows[u] = row
-        for y, m_poly in mu_local.items():
-            mu[(s, y, left_s[u])] = m_poly
-        for s in descents[1:]:
+        row = None
+        for s in sys.left_descents(u):
             left_s = sys.cayley_left[s]
             half, mu_local = _half_row(sys, rows, s, u, order, params[s],
                                        lower[s], intern, products)
-            if 2 * len(half) != len(row) or any(
+            if row is None:
+                row = {}
+                for x, p in half.items():
+                    row[x] = p = intern(p)
+                    row[left_s[x]] = down(p, s)
+                top = row.get(u)
+                if top != {one: 1}:
+                    raise KLError(
+                        f"leading coefficient of C_{sys.word_text(u)} is "
+                        f"not 1: {poly_text(space, top or {}, order)}"
+                    )
+                for y, p in row.items():
+                    if y == u or id(p) in negative:
+                        continue
+                    for m in p:
+                        if sign(m) >= 0:
+                            raise KLError(
+                                "P*_{%s,%s} = %s has a non-negative monomial;"
+                                " invalid order or implementation fault"
+                                % (sys.word_text(y), sys.word_text(u),
+                                   poly_text(space, p, order))
+                            )
+                    negative.add(id(p))
+                rows[u] = row
+            elif 2 * len(half) != len(row) or any(
                     row.get(x) != p
                     or row.get(left_s[x]) is not down(row[x], s)
                     for x, p in half.items()):
-                raise KLError(
-                    f"descent choice changed C_{sys.word_text(u)}"
-                )
+                raise KLError(f"descent choice changed C_{sys.word_text(u)}")
             for y, m_poly in mu_local.items():
                 mu[(s, y, left_s[u])] = m_poly
 
@@ -681,12 +674,6 @@ def check_bounds(kl):
 
 
 def tables_equal(a, b):
-    """Entrywise equality of two P*-tables (used for oracle comparison)."""
-    if a.sys.size != b.sys.size:
-        return False
-    for w in range(a.sys.size):
-        ra = {y: p for y, p in a.rows[w].items() if p}
-        rb = {y: p for y, p in b.rows[w].items() if p}
-        if ra != rb:
-            return False
-    return True
+    """Entrywise equality of two P*-tables (used for oracle comparison);
+    no table stores a zero entry."""
+    return a.rows == b.rows

@@ -98,37 +98,22 @@ class MonomialOrder:
         self._signs = {}
 
     def sign(self, m):
-        """-1, 0 or +1 for gamma below, equal to or above 1.
+        """-1, 0 or +1 for gamma below, equal to or above 1: the sign of
+        the first nonzero value of ``key(m)``.
 
         Memoised per packed monomial: a table run evaluates the sign of
         the same few dozen monomials millions of times.
         """
         s = self._signs.get(m)
         if s is None:
-            s = self._signs[m] = self._sign(m)
+            v = next((v for v in self.key(m) if v), 0)
+            s = self._signs[m] = (v > 0) - (v < 0)
         return s
-
-    def _sign(self, m):
-        exps = self.space.unpack(m)
-        for f in self.functionals:
-            v = sum(c * e for c, e in zip(f, exps))
-            if v:
-                return 1 if v > 0 else -1
-        return 0
-
-    def compare(self, m1, m2):
-        """-1, 0, +1 as m1 <, ==, > m2."""
-        if m1 == m2:
-            return 0
-        return self.sign(self.space.mul(m1, self.space.inv(m2)))
 
     def key(self, m):
         """Sort key: ascending key order is ascending monomial order."""
         exps = self.space.unpack(m)
         return tuple(sum(c * e for c, e in zip(f, exps)) for f in self.functionals)
-
-    def is_positive(self, m):
-        return self.sign(m) > 0
 
     def __repr__(self):
         return f"MonomialOrder({list(self.functionals)})"
@@ -192,12 +177,6 @@ def psub_into(acc, p):
             acc[m] = v
         else:
             acc.pop(m, None)
-
-
-def padd(p, q):
-    out = dict(p)
-    padd_into(out, q)
-    return out
 
 
 def psub(p, q):

@@ -341,15 +341,12 @@ def _write_entry(result, outdir):
 
     gamma_obj = {"exponents": sorted(list(space.unpack(m))
                                      for m in result.gamma)}
-    if space.rank == 2 and len(sys.gen_classes) == 2:
-        try:
-            lo, hi, blo, bhi = weights_mod.validity_interval(
-                space, result.gamma, weights_mod.numerator_coord(sys))
-            gamma_obj["validity"] = {"lo": _frac(lo), "hi": _frac(hi),
-                                     "binding_lo": sorted(map(list, blo)),
-                                     "binding_hi": sorted(map(list, bhi))}
-        except ValueError as exc:
-            gamma_obj["validity"] = {"error": str(exc)}
+    if space.rank == 2:     # an order run on a two-class system
+        lo, hi, blo, bhi = weights_mod.validity_interval(
+            space, result.gamma, weights_mod.numerator_coord(sys))
+        gamma_obj["validity"] = {"lo": _frac(lo), "hi": _frac(hi),
+                                 "binding_lo": sorted(map(list, blo)),
+                                 "binding_hi": sorted(map(list, bhi))}
     _dump_json(outdir / "gamma.json", gamma_obj)
 
     if result.distinguished is not None:

@@ -328,17 +328,22 @@ def specialization_consistency(order_data, weight_data, coord_weights, gamma):
         report.violations.append(("star condition fails", viol[:5]))
         return report
     sys = order_data.sys
+    images = {}     # id(p) -> sigma(p); shared objects are mapped once
+
+    def sigma(p):
+        q = images.get(id(p))
+        if q is None:
+            q = images[id(p)] = specialize_poly(space, coord_weights, p)
+        return q
+
     for w in range(sys.size):
-        ra = order_data.rows[w]
-        rb = weight_data.rows[w]
-        sa = {y: specialize_poly(space, coord_weights, p) for y, p in ra.items()}
-        sa = {y: p for y, p in sa.items() if p}
+        sa = {y: q for y, p in order_data.rows[w].items() if (q := sigma(p))}
         report.checked += len(sa)
-        if sa != {y: p for y, p in rb.items() if p}:
+        if sa != weight_data.rows[w]:
             report.violations.append(("P-row", sys.word_text(w)))
     mu_b = weight_data.mu
     for key, m_poly in order_data.mu.items():
-        sm = specialize_poly(space, coord_weights, m_poly)
+        sm = sigma(m_poly)
         report.checked += 1
         if not sm:
             report.violations.append(("sigma(M) = 0", key))
@@ -598,8 +603,7 @@ def scan_equivalence_classes(sys, *, chart=None, progress=None, jobs=1):
     regions = open_region_list + [reg for regs in found for reg in regs]
     runs += len(exact)
 
-    regions.sort(key=lambda r: (r.lo, not r.exact,
-                                r.hi if r.hi is not None else Fraction(10**9)))
+    regions.sort(key=lambda r: (r.lo, not r.exact))
 
     # group regions by equal left-cell partitions
     groups = {}

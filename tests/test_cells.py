@@ -147,8 +147,7 @@ def test_block_dag_and_closure():
 def test_property_l_detects_violations(i24):
     sys, data, left, edges, ts = run("I2:4")
     # gluing all blocks into one fake two-sided cell must raise violations
-    fake = cells.CellPartition(kind="two_sided",
-                               blocks=(tuple(range(sys.size)),),
+    fake = cells.CellPartition(blocks=(tuple(range(sys.size)),),
                                block_of=(0,) * sys.size)
     assert cells.check_property_L(sys, left, fake)
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from klcells import kl
@@ -8,6 +10,7 @@ from klcells.laurent import (
     padd_into,
     pbar,
     pmul,
+    pneg,
     poly_from_terms,
     pscale,
     psub,
@@ -111,6 +114,19 @@ def test_oracle_agreement_a3_embedded():
         data = kl.compute_kl(sys, params, order)
         oracle = kl.oracle_kl(sys, params, order)
         assert kl.tables_equal(data, oracle), fs
+
+
+def test_tables_equal_sees_a_replaced_and_an_extra_entry():
+    sys, space, order, data = generic_run("B3")
+    assert kl.tables_equal(data, replace(data, rows=[dict(r) for r in
+                                                    data.rows]))
+    w = sys.longest
+    y = next(y for y in data.rows[w] if y != w)
+    # one P* entry replaced; one entry P*_{s,1} that no table holds
+    for w, y, p in ((w, y, pneg(data.rows[w][y])), (0, 1, {space.one: -1})):
+        rows = [dict(r) for r in data.rows]
+        rows[w][y] = p
+        assert not kl.tables_equal(data, replace(data, rows=rows)), (w, y)
 
 
 def test_oracle_guard(b4):

@@ -93,6 +93,19 @@ def test_cli_compute_and_dump(tmp_path, capsys):
     assert (tmp_path / "exp" / "two_sided.dot").exists()
 
 
+def test_export_usage_error_leaves_no_directory(tmp_path, capsys):
+    entry = tmp_path / "entry"
+    entry.mkdir()
+    (entry / "meta.json").write_text("{}\n")
+    dest = tmp_path / "D"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["export", "--archive", str(entry), "--dest", str(dest),
+                  "--format", "dot"])
+    assert exc.value.code == 2
+    assert "holds none of the requested files" in capsys.readouterr().err
+    assert not dest.exists()
+
+
 def test_cli_compute_order_mode(tmp_path, capsys):
     rc = cli.main(["compute", "--type", "I2:4", "--order", "1,0;0,1",
                    "--checks", "lemmas,oracle", "--out", str(tmp_path)])
@@ -154,6 +167,21 @@ def test_cli_check_reports_a_failed_line(capsys, monkeypatch):
     out = capsys.readouterr().out.splitlines()
     assert [ln for ln in out if ln.startswith("FAIL")] == [
         "FAIL  B3 (2, 1, 1): left preorder trivial on two-sided cells"]
+
+
+def test_cli_check_computes_no_certifying_set_or_right_cells(capsys,
+                                                           monkeypatch):
+    def fail(*args):
+        raise RuntimeError("check computed what it does not print")
+
+    monkeypatch.setattr(weights, "gamma_plus_W", fail)
+    monkeypatch.setattr(cells, "right_cells", fail)
+    assert cli.main(["check", "--type", "B3", "--weight", "2,1,1"]) == 0
+    assert capsys.readouterr().out == """\
+PASS  B3 (2, 1, 1): left preorder trivial on two-sided cells
+PASS  B3 (2, 1, 1): unique involution minimizers with unit leading coefficient
+PASS  B3 (2, 1, 1): cell characters decompose integrally (16 cells)
+"""
 
 
 def test_cli_check_has_no_verbose(capsys):

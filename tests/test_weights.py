@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -131,7 +132,9 @@ def test_distinguished_involutions_dihedral(m):
     assert report.per_cell[0]["delta"] == 0 and report.per_cell[0]["n"] == 1
 
 
-def test_specialization_consistency_certified(b3):
+def certified_b3_pair(b3):
+    """An order run of B3, a weight run inside its validity interval, the
+    class values of that weight and the order run's certifying set."""
     space, params = kl.class_params(b3)
     order = lex_order(space)  # t-class dominant: certifies large ratios
     odata = kl.compute_kl(b3, params, order)
@@ -145,9 +148,35 @@ def test_specialization_consistency_certified(b3):
     cw[1 - num_coord] = r.denominator
     wt = weights.weight_from_class_values(b3, cw)
     _, w1, worder = kl.weight_params(b3, wt)
-    wdata = kl.compute_kl(b3, w1, worder)
+    return odata, kl.compute_kl(b3, w1, worder), cw, gamma
+
+
+def test_specialization_consistency_certified(b3):
+    odata, wdata, cw, gamma = certified_b3_pair(b3)
     rep = weights.specialization_consistency(odata, wdata, cw, gamma)
     assert rep.ok
+
+
+def test_specialization_consistency_sees_a_changed_entry(b3):
+    # the specialization is memoised per polynomial object; a replaced
+    # entry is a new object, whatever objects the others share
+    odata, wdata, cw, gamma = certified_b3_pair(b3)
+    checked = weights.specialization_consistency(odata, wdata, cw,
+                                                 gamma).checked
+    w = b3.longest
+    y = next(y for y in odata.rows[w] if y != w)
+    rows = [dict(r) for r in odata.rows]
+    rows[w][y] = {m: 2 * c for m, c in rows[w][y].items()}
+    rep = weights.specialization_consistency(replace(odata, rows=rows),
+                                             wdata, cw, gamma)
+    assert rep.violations == [("P-row", b3.word_text(w))]
+    assert rep.checked == checked
+    key = min(odata.mu)
+    mu = dict(odata.mu)
+    mu[key] = {m: 2 * c for m, c in mu[key].items()}
+    rep = weights.specialization_consistency(replace(odata, mu=mu),
+                                             wdata, cw, gamma)
+    assert rep.violations == [("M entry", key)]
 
 
 def test_scan_dihedral():

@@ -24,7 +24,7 @@ from collections import Counter
 from pathlib import Path
 
 import chargen
-from klcells import cells, coxeter, kl, reps, weights
+from klcells import coxeter, kl, reps, weights
 
 OUTDIR = Path(_sys.argv[1]) if len(_sys.argv) > 1 else (
     Path(__file__).resolve().parent.parent / "src" / "klcells" / "data" / "chartables"
@@ -53,28 +53,26 @@ def write(raw, name):
     print("wrote", path)
 
 
-def run_cells(sys_, weight):
+def run_cells(sys_, weight, chart):
+    """Cells, cell characters and the Delta report at one weight."""
     _, w, order = kl.weight_params(sys_, weight)
-    data = kl.compute_kl(sys_, w, order)
-    left, edges = cells.left_cells(sys_, data.mu)
-    ts = cells.two_sided_cells(sys_, edges)
-    return data, left, ts
+    return weights.analyse(sys_, kl.compute_kl(sys_, w, order), (1,), chart)
 
 
 def label_f4(raw):
     f4 = coxeter.build_system("F4")
     table = reps.load_character_table(io.StringIO(json.dumps(raw)))
-    class_map = reps.table_for_system(f4, table)
+    chart = table, reps.table_for_system(f4, table)
 
-    data, left, ts = run_cells(f4, (1, 1, 2, 2))
-    chars = reps.all_cell_characters(f4, data, left)
-    decomp = [dict(reps.decompose(v, table, class_map)) for v in chars]
-    dist = weights.distinguished_involutions(data, left)
-    assert dist.ok
-    delta_of_cell = {e["cell"]: e["delta"] for e in dist.per_cell}
+    found = run_cells(f4, (1, 1, 2, 2), chart)
+    decomp = [dict(mults) for mults in found.left_chars]
+    assert found.distinguished.ok
+    delta_of_cell = {e["cell"]: e["delta"]
+                     for e in found.distinguished.per_cell}
 
     # a row's two-sided cell and its Delta value
-    ts_of_left = [ts.block_of[blk[0]] for blk in left.blocks]
+    ts_of_left = [found.two_sided.block_of[blk[0]]
+                  for blk in found.left.blocks]
     delta_of_ts = {}
     rows_of_ts = {}
     for ci, mults in enumerate(decomp):
@@ -96,9 +94,8 @@ def label_f4(raw):
     assert len(label_of_row) == 23, sorted(label_of_row)
 
     # split the two degree-6 rows using the a = b cell pattern
-    data_eq, left_eq, _ = run_cells(f4, (1, 1, 1, 1))
-    chars_eq = reps.all_cell_characters(f4, data_eq, left_eq)
-    decomp_eq = [dict(reps.decompose(v, table, class_map)) for v in chars_eq]
+    decomp_eq = [dict(mults) for mults in
+                 run_cells(f4, (1, 1, 1, 1), chart).left_chars]
     six_rows = [lab for i, lab in enumerate(table.labels)
                 if degrees[i] == 6 and lab not in label_of_row]
     assert len(six_rows) == 2
