@@ -478,7 +478,7 @@ def _distinct(polys):
     """The distinct objects of ``polys`` and, per entry, its object's index."""
     ids = np.fromiter(map(id, polys), np.int64, len(polys))
     _, first, which = np.unique(ids, return_index=True, return_inverse=True)
-    return [polys[i] for i in first], which
+    return [polys[i] for i in first], which.astype(np.int32)
 
 
 def _terms(distinct, which):
@@ -510,12 +510,16 @@ def verify_bar_identity_full(kl):
     matrix equation bar(P) = R * P over the Laurent ring, where P and R
     are the (element x element) coefficient matrices including the unit
     diagonals.  P is laid out once as an n x (n * K_P) integer matrix,
-    one column block per P-monomial.  For each R-monomial m1 the
-    product R_{m1} @ P has its block of m2 moved to the output monomial
-    m1 * m2 and is added into one running difference that starts as
-    -bar(P); a block still nonzero at the end is a violated monomial
-    slice.  Blocks are numbered by packed monomial, so each move keeps
-    the column order.  Arithmetic is exact int64, guarded by a bound on
+    one column block per P-monomial.  R is held by distinct polynomial:
+    per entry (x, y) the index of its polynomial, and one dense table
+    of the distinct polynomials by R-monomial, so no entry is expanded
+    term by term.  For each R-monomial m1 the n x n slice R_{m1} is
+    built from the entries whose polynomial has m1, and the product
+    R_{m1} @ P has its block of m2 moved to the output monomial m1 * m2
+    and is added into one running difference that starts as -bar(P); a
+    block still nonzero at the end is a violated monomial slice.
+    Blocks are numbered by packed monomial, so each move keeps the
+    column order.  Arithmetic is exact int64, guarded by a bound on
     every partial sum.
     """
     from scipy import sparse
@@ -529,12 +533,16 @@ def verify_bar_identity_full(kl):
     p_row = np.fromiter(chain.from_iterable(kl.rows), np.int64, len(p_col))
     p_distinct, p_which = _distinct(
         list(chain.from_iterable(row.values() for row in kl.rows)))
-    r_key = np.fromiter(chain.from_iterable(rtab), np.int64,
+    r_key = np.fromiter(chain.from_iterable(rtab), np.int32,
                         2 * len(rtab)).reshape(-1, 2)
     r_distinct, r_which = _distinct(list(rtab.values()))
+    del rtab
+    rm, r_entry, r_mono, r_coef = _terms(r_distinct, range(len(r_distinct)))
+    r_table = np.zeros((len(r_distinct), len(rm)), np.int64)
+    r_table[r_entry, r_mono] = r_coef
     # |entry of R * P| <= sum over y of ||R_{x,y}||_1 * max|P coefficient|
     pmax = max((abs(c) for p in p_distinct for c in p.values()), default=0)
-    rnorm = max((sum(map(abs, p.values())) for p in r_distinct), default=0)
+    rnorm = int(np.abs(r_table).sum(axis=1).max())
     if (n * rnorm + 1) * pmax >= 2 ** 63:
         raise OverflowError("coefficient growth too large for int64 slices")
 
@@ -542,10 +550,6 @@ def verify_bar_identity_full(kl):
     y, w = p_row[entry], p_col[entry]
     p_all = sparse.csr_matrix((coef, (y, mono * n + w)),
                               shape=(n, n * len(pm)))
-    rm, r_entry, r_mono, r_coef = _terms(r_distinct, r_which)
-    r_stacked = sparse.csr_matrix(
-        (r_coef, (r_mono * n + r_key[r_entry, 0], r_key[r_entry, 1])),
-        shape=(n * len(rm), n))
     two_one = space.two_one
     out = sorted({m1 + m2 - one for m1 in rm for m2 in pm}
                  | {two_one - m2 for m2 in pm})
@@ -554,16 +558,22 @@ def verify_bar_identity_full(kl):
     diff = sparse.csr_matrix(
         (-coef, (y, bar_block[mono] * n + w)),
         shape=(n, n * len(out)))
+    report.checked = len(p_col)
+    del p_col, p_row, p_which, entry, mono, coef, y, w  # room for the loop
     for a, m1 in enumerate(rm):
-        prod = r_stacked[a * n:(a + 1) * n] @ p_all
+        r_col = r_table[r_which, a]
+        nz = np.flatnonzero(r_col)
+        r_a = sparse.csr_matrix((r_col[nz], (r_key[nz, 0], r_key[nz, 1])),
+                                shape=(n, n))
+        prod = r_a @ p_all
         block = np.array([block_of[m1 + m2 - one] for m2 in pm])
-        cols = block[prod.indices // n] * n + prod.indices % n
-        diff = diff + sparse.csr_matrix((prod.data, cols, prod.indptr),
-                                        shape=diff.shape)
+        prod = sparse.csr_matrix(
+            (prod.data, block[prod.indices // n] * n + prod.indices % n,
+             prod.indptr), shape=diff.shape)
+        diff = diff + prod
     bad = np.unique(diff.indices[diff.data != 0] // n)
     for g in sorted((out[b] for b in bad), key=kl.order.key):
         report.violations.append(("slice", space.unpack(g)))
-    report.checked = len(p_col)
     return report
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -278,6 +279,8 @@ def reference_slices(data):
     ("B3", (2, 1, 1), None),
     ("B3", None, ((1, 2), (1, 0))),
     ("I2:6", None, None),
+    ("A1xA2", None, None),
+    ("G2", None, ((1, 3), (1, 0))),
 ])
 def test_full_bar_check_flags_the_reference_slices(name, weight,
                                                    functionals):
@@ -323,6 +326,22 @@ def test_full_bar_check_overflow_guard_bounds_every_partial_sum():
                        order=order, rows=rows, mu={}, v_elem=good.v_elem)
     with pytest.raises(OverflowError):
         kl.verify_bar_identity_full(scaled)
+
+
+def test_full_bar_check_memory_on_b4():
+    # R is held as its 299 distinct polynomials, not as its 418,737
+    # terms; scipy is imported before the measurement starts
+    from scipy import sparse  # noqa: F401
+
+    sys, space, order, data = weight_run("B4", (5, 2, 2, 2))
+    tracemalloc.start()
+    try:
+        rep = kl.verify_bar_identity_full(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.ok and rep.checked == sum(map(len, data.rows))
+    assert peak < 24 * 2 ** 20
 
 
 def test_lemma_suites():
