@@ -67,7 +67,7 @@ def _run_config_from_args(args):
         system=args.type,
         weight=_parse_weight(args.weight) if args.weight else None,
         order_functionals=_parse_order(args.order) if args.order else None,
-        checks=tuple(args.checks.split(",")), cap=args.cap,
+        checks=tuple(args.checks.split(",")),
         cross_check=args.cross_check,
     )
 
@@ -99,11 +99,7 @@ def cmd_compute(args, parser):
         for rep in stored:
             print(f"check {rep}")
         return 0 if all(rep.ok for rep in stored) else 1
-    progress = None
-    if args.verbose:
-        progress = lambda ln, u: print(f"  length {ln} (element {u})",
-                                       file=_sysmod.stderr)
-    result = pipeline.run_pipeline(config, progress=progress)
+    result = pipeline.run_pipeline(config)
     outdir = pipeline.write_archive(result, args.out)
     print(f"archive: {outdir}")
     print(f"system {args.type}: |W| = {result.sys.size}, "
@@ -124,16 +120,14 @@ def cmd_compute(args, parser):
 
 
 def cmd_scan(args, parser):
-    sys_ = build_system(args.type, cap=args.cap)
+    sys_ = build_system(args.type)
     chart = None
     if args.chars:
         chart = pipeline.chart_for(sys_)
         if chart is None:
             parser.error(f"no bundled character table for {args.type}")
-    progress = (lambda m: print("  " + m, file=_sysmod.stderr)) \
-        if args.verbose else None
-    report = weights.scan_equivalence_classes(
-        sys_, chart=chart, progress=progress, jobs=args.jobs)
+    report = weights.scan_equivalence_classes(sys_, chart=chart,
+                                              jobs=args.jobs)
     outdir = pipeline.write_scan(report, Path(args.out) / "scan", sys_)
     print(pipeline.scan_to_text(report), end="")
     print(f"scan files: {outdir}")
@@ -154,7 +148,7 @@ def cmd_check(args, parser):
         if not ok:
             failures += 1
 
-    sys_ = build_system(args.type, cap=args.cap)
+    sys_ = build_system(args.type)
     f4 = args.type.upper().replace("_", "") == "F4" and not args.weight
     cases = _F4_CASES if f4 else [(None, _parse_weight(args.weight)
                                    if args.weight else (1,) * sys_.rank)]
@@ -242,10 +236,8 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--type", required=True,
-                       help="Coxeter type, e.g. F4, B4, I2:6, A2xA1")
-        p.add_argument("--cap", type=int, default=20000,
-                       help="element cap for enumeration")
+        p.add_argument("--type", help="Coxeter type, e.g. F4, B4, I2:6, "
+                                      "A2xA1 (required, here or in --config)")
         p.add_argument("--config", help="JSON file with default options")
 
     p = sub.add_parser("compute", help="run the full pipeline once")
@@ -260,7 +252,6 @@ def build_parser():
     p.add_argument("--out", default="runs", help="archive root directory")
     p.add_argument("--force", action="store_true",
                    help="recompute even when a cached archive entry exists")
-    p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser("scan", help="scan all weight functions by ratio")
@@ -270,7 +261,6 @@ def build_parser():
                    help="decompose cell characters per region")
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes for exact-ratio regions")
-    p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("check", help="verification battery")
@@ -305,6 +295,8 @@ def main(argv=None):
         at = argv.index(args.command) + 1
         args = parser.parse_args(
             argv[:at] + _config_argv(args, parser) + argv[at:])
+    if getattr(args, "type", "") is None:   # a config file may set it
+        parser.error("the following arguments are required: --type")
     try:
         return args.func(args, parser)
     except (reps.CharacterDataError, kl_mod.KLError, OverflowError,

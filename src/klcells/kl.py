@@ -224,7 +224,7 @@ def _interner():
     return lambda p: interned.setdefault(frozenset(p.items()), p)
 
 
-def compute_kl(sys, params, order, *, progress=None):
+def compute_kl(sys, params, order):
     """Compute all P*_{y,w} and all nonzero M^s_{y,w}.
 
     Row u is built from its smallest left descent s by the half-row
@@ -272,11 +272,7 @@ def compute_kl(sys, params, order, *, progress=None):
     rows[0] = {0: intern({one: 1})}
     mu = {}
     sign = order.sign
-    cur_len = 0
     for u in range(1, sys.size):
-        if progress is not None and length[u] != cur_len:
-            cur_len = length[u]
-            progress(cur_len, u)
         row = None
         for s in sys.left_descents(u):
             left_s = sys.cayley_left[s]

@@ -41,13 +41,13 @@ class RunConfig:
     weight: tuple | None = None
     order_functionals: tuple | None = None
     checks: tuple = ("lemmas", "bounds")
-    cap: int = 20000
     cross_check: bool = False
 
     def __post_init__(self):
         if (self.weight is None) == (self.order_functionals is None):
             raise ValueError("specify exactly one of weight / order functionals")
-        unknown = sorted(set(self.checks) - set(CHECKS))
+        self.checks = tuple(sorted(set(self.checks)))
+        unknown = [c for c in self.checks if c not in CHECKS]
         if unknown:
             raise ValueError(f"unknown check(s) {', '.join(map(repr, unknown))}"
                              f"; choose from {','.join(CHECKS)}")
@@ -64,7 +64,7 @@ class RunConfig:
             "weight": list(self.weight) if self.weight else None,
             "order_functionals": [list(f) for f in self.order_functionals]
             if self.order_functionals else None,
-            "checks": sorted(self.checks),
+            "checks": list(self.checks),
             # constant; kept so that archive keys and meta.json stay
             # unchanged until the key carries a format version
             "orientation": "containment",
@@ -101,24 +101,24 @@ def chart_for(sys):
     return None
 
 
-def run_pipeline(config, sys=None, progress=None):
+def run_pipeline(config, sys=None):
     """Compute and analyse one configuration, then run its checks.
 
     The analysis is ``weights.analyse``, the same path every scan region
     takes, with the character table of ``chart_for``.
     """
     if sys is None:
-        sys = build_system(config.system, cap=config.cap)
+        sys = build_system(config.system)
     if config.weight is not None:
         space, params, order = kl_mod.weight_params(sys, config.weight)
     else:
         space = MonomialSpace(len(sys.gen_classes))
         _, params = kl_mod.class_params(sys, space)
         order = MonomialOrder(space, config.order_functionals)
-    checks = set(config.checks)
+    checks = config.checks
     if "oracle" in checks:      # refuses a large group before any table
         oracle = kl_mod.oracle_kl(sys, params, order)
-    data = kl_mod.compute_kl(sys, params, order, progress=progress)
+    data = kl_mod.compute_kl(sys, params, order)
     gamma = weights_mod.gamma_plus_W(data)
     # an order run on a multi-class space has no coordinate weights
     found = weights_mod.analyse(sys, data, (1,) if space.rank == 1 else None,
@@ -403,12 +403,12 @@ def _two_sided_labels(result):
 # reference comparison (the published two-sided order diagrams)
 
 
-def load_reference(kind, case):
-    """Published F4 data for a case; ``kind`` is ``cellorder`` or
-    ``constructible``."""
+def load_reference(case):
+    """The published F4 two-sided order diagram of a case, each node
+    with the characters of its left cells."""
     from importlib import resources
 
-    ref = resources.files("klcells").joinpath(f"data/{kind}/f4_{case}.json")
+    ref = resources.files("klcells").joinpath(f"data/cellorder/f4_{case}.json")
     with ref.open("r", encoding="utf-8") as fh:
         return json.load(fh)
 
@@ -428,7 +428,7 @@ def match_reference_order(result, case):
     """
     if result.left_chars is None:
         return False, {"error": "no cell characters computed"}
-    ref = load_reference("cellorder", case)
+    ref = load_reference(case)
 
     def name(cells):
         return tuple(sorted(set(map(_char_key, cells))))
@@ -446,9 +446,10 @@ def match_reference_order(result, case):
 
 
 def match_reference_constructible(result, case):
-    """Set equality of computed cell characters with the published list."""
-    ref = load_reference("constructible", case)
-    want = {_char_key(c) for c in ref["characters"]}
+    """Set equality of computed cell characters with the published list,
+    the left-cell characters of the diagram's nodes."""
+    want = {_char_key(c) for node in load_reference(case)["nodes"]
+            for c in node["cells"]}
     got = {_char_key(m) for m in result.left_chars}
     return got == want, {
         "missing": sorted(want - got),

@@ -463,7 +463,7 @@ def _exact_regions(sys, chart, swap, ratio):
                    by_symmetry=r != ratio) for r, d in found]
 
 
-def scan_equivalence_classes(sys, *, chart=None, progress=None, jobs=1):
+def scan_equivalence_classes(sys, *, chart=None, jobs=1):
     """Partition all positive weight functions of a two-class system.
 
     Returns a :class:`ScanReport`.  ``chart`` is ``(table, class_map)``,
@@ -494,15 +494,13 @@ def scan_equivalence_classes(sys, *, chart=None, progress=None, jobs=1):
 
     runs = 0
     open_region_list = []   # finished Region objects for open intervals
-    note = progress or (lambda msg: None)
 
-    def probe(order, label):
+    def probe(order):
         """Two-variable tables and certifying set of one order run."""
         nonlocal runs
         runs += 1
         if runs > max_runs:
             raise ScanError(f"scan exceeded {max_runs} pipeline runs")
-        note(f"order run {runs}: {label}")
         data = kl_mod.compute_kl(sys, params, order)
         return data, gamma_plus_W(data)
 
@@ -534,7 +532,7 @@ def scan_equivalence_classes(sys, *, chart=None, progress=None, jobs=1):
     # top region through the numerator-dominant pure lexicographic order;
     # with a class swap it starts at 1 at the earliest
     top_order = lex_order(space, (num_coord, 1 - num_coord))
-    data, top_gamma = probe(top_order, "pure lex")
+    data, top_gamma = probe(top_order)
     lo, hi, *_ = validity_interval(space, top_gamma, num_coord)
     if hi is not None:
         raise ScanError("pure lex region is bounded above; unexpected")
@@ -562,7 +560,7 @@ def scan_equivalence_classes(sys, *, chart=None, progress=None, jobs=1):
         # tie line, so the choice only fixes the run deterministically
         order = weighted_order(space, ratio_class_values(rho, num_coord),
                                1 - num_coord if rho >= 1 else num_coord)
-        data, gamma = probe(order, f"interval guess ({guess}, {hi_bound})")
+        data, gamma = probe(order)
         lo, hi, *_ = validity_interval(space, gamma, num_coord)
         if not (lo < rho and (hi is None or rho < hi)):
             # rho itself is critical for its own data; split around it
@@ -590,7 +588,6 @@ def scan_equivalence_classes(sys, *, chart=None, progress=None, jobs=1):
             raise ScanError(f"breakpoint {bp} outside the theoretical range")
     exact = [bp for bp in breakpoints if bp >= bottom]
 
-    note(f"exact runs at {len(exact)} breakpoints, jobs={jobs}")
     exact_run = partial(_exact_regions, sys, chart, swap)
     workers = min(jobs, len(exact))
     if workers > 1:

@@ -244,6 +244,17 @@ def test_cache_hit_reports_stored_violations(tmp_path, capsys):
     assert "1 violation(s)" in capsys.readouterr().out
 
 
+def test_repeated_check_names_share_one_entry(tmp_path, capsys):
+    assert _compute(tmp_path, "--checks", "lemmas") == 0
+    capsys.readouterr()
+    assert _compute(tmp_path, "--checks", "lemmas,lemmas") == 0
+    assert "cached" in capsys.readouterr().out
+    entry, = tmp_path.iterdir()
+    assert entry.name == "3cc18bb80865eb68"
+    meta = json.loads((entry / "meta.json").read_text())
+    assert meta["config"]["checks"] == ["lemmas"]
+
+
 def test_unknown_check_names_are_rejected(tmp_path, capsys):
     with pytest.raises(ValueError, match="orcale"):
         pipeline.RunConfig(system="A2", weight=(1, 1),

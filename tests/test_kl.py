@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from klcells import kl
+from klcells import cli, kl
 from klcells.laurent import (
     MonomialOrder,
     MonomialSpace,
@@ -543,3 +543,49 @@ def test_descent_choice_check_catches_a_dropped_m_term(monkeypatch):
     with pytest.raises(kl.KLError, match="descent choice changed"):
         kl.compute_kl(sys, params, order)
     assert calls == [u]
+
+
+def _doubled_diagonal(real):
+    """``_half_row`` with P*_{u,u} doubled."""
+    def half_row(sys, rows, s, u, *args):
+        half, mu_local = real(sys, rows, s, u, *args)
+        half[u] = {m: 2 * c for m, c in half[u].items()}
+        return half, mu_local
+    return half_row
+
+
+@pytest.mark.parametrize("name, fault, message", [
+    ("_half_row", _doubled_diagonal, "leading coefficient of C_"),
+    # without M^s_{y,w} the half row keeps its non-negative terms
+    ("symmetrize_nonneg", lambda real: lambda q, order: {},
+     "has a non-negative monomial"),
+], ids=["leading-coefficient", "negativity"])
+def test_compute_kl_refuses_a_planted_fault(tmp_path, capsys, monkeypatch,
+                                            name, fault, message):
+    monkeypatch.setattr(kl, name, fault(getattr(kl, name)))
+    sys = system("B3")
+    space, params, order = kl.weight_params(sys, (2, 1, 1))
+    with pytest.raises(kl.KLError, match=message):
+        kl.compute_kl(sys, params, order)
+    # through the CLI: exit 1, one error line and no archive entry
+    assert cli.main(["compute", "--type", "B3", "--weight", "2,1,1",
+                     "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert message in err[0]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_lemma_m_reports_bar_and_support_violations():
+    sys = system("B3")
+    space, params, order = kl.weight_params(sys, (2, 1, 1))
+    data = kl.compute_kl(sys, params, order)
+    first, second = sorted(data.mu)[:2]
+    mu = dict(data.mu)
+    mu[first] = {params[first[0]]: 1}     # v_s alone: not bar-invariant
+    # bar-invariant, but v_s v_w v_y^-1 M is no polynomial
+    mu[second] = poly_from_terms(space, [((-100,) * space.rank, 1),
+                                         ((100,) * space.rank, 1)])
+    rep = kl.check_lemma_m(replace(data, mu=mu))
+    assert sorted(rep.violations) == [("bar", *first), ("support", *second)]
+    assert rep.checked == len(mu) - 1

@@ -185,9 +185,13 @@ PASS  B3 (2, 1, 1): cell characters decompose integrally (16 cells)
 
 
 def test_cli_check_has_no_verbose(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["check", "--type", "A2", "--verbose"])
-    assert exc.value.code == 2
+    # no subcommand takes --verbose or --cap
+    for command in ("compute", "scan", "check"):
+        for flag in (["--verbose"], ["--cap", "100"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main([command, "--type", "A2", *flag])
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_oracle_is_refused_before_any_table(tmp_path, capsys, monkeypatch):
@@ -320,6 +324,30 @@ def test_cli_config_file(tmp_path, capsys):
     assert "left cells 4" in capsys.readouterr().out
 
 
+def test_config_file_can_set_the_type(tmp_path, capsys):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"type": "I2:4", "weight": "2,1"}))
+    assert cli.main(["compute", "--config", str(cfgfile),
+                     "--out", str(tmp_path / "a")]) == 0
+    assert "system I2:4: |W| = 8," in capsys.readouterr().out
+    # an explicit --type wins over the file's
+    assert cli.main(["compute", "--type", "I2:6", "--config", str(cfgfile),
+                     "--out", str(tmp_path / "b")]) == 0
+    assert "system I2:6: |W| = 12," in capsys.readouterr().out
+    # with no type anywhere the run is a usage error
+    cfgfile.write_text(json.dumps({"weight": "2,1"}))
+    out = ["--out", str(tmp_path / "c")]
+    for argv in (["compute", "--config", str(cfgfile), *out],
+                 ["compute", "--weight", "2,1", *out], ["scan", *out],
+                 ["check"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert ("error: the following arguments are required: --type"
+                in capsys.readouterr().err)
+    assert not (tmp_path / "c").exists()
+
+
 def test_config_file_never_overrides_an_explicit_flag(tmp_path, capsys):
     # an explicit flag wins over the file also when it is given by alias
     # (--check), by abbreviation (--cross) or against an underscored key
@@ -356,8 +384,7 @@ def test_config_file_never_overrides_an_explicit_flag(tmp_path, capsys):
     (["compute"], {"weight": 5}),
     (["compute", "--weight", "2,1"], {"checks": 5}),
     (["scan"], {"jobs": 2.5}),
-    (["compute", "--weight", "2,1"], {"cap": 100.5}),
-    (["compute", "--weight", "2,1"], {"verbose": "no"}),
+    (["compute", "--weight", "2,1"], {"force": "no"}),
     (["compute"], {"weight": [2, 1]}),
     (["compute", "--weight", "2,1"], {"checks": {"bar": True}}),
     (["compute", "--weight", "2,1"], {"weight": None}),

@@ -212,11 +212,11 @@ def test_b2a_box_has_no_common_constituent():
     1_3 at b = 2a have no irreducible constituent in common."""
     from klcells import pipeline
 
-    ref = pipeline.load_reference("constructible", "b2a")
-    box = [dict(c) for c in ref["characters"]
-           if dict(c) in ({"1_3": 1, "8_3": 1}, {"2_1": 1, "9_1": 1},
-                          {"9_1": 1, "8_3": 1})]
-    assert len(box) == 3
+    node, = (n for n in pipeline.load_reference("b2a")["nodes"]
+             if n["label"] == "1_3")
+    box = [dict(c) for c in node["cells"]]
+    assert box == [{"1_3": 1, "8_3": 1}, {"2_1": 1, "9_1": 1},
+                   {"8_3": 1, "9_1": 1}]
     common = set(box[0])
     for c in box[1:]:
         common &= set(c)

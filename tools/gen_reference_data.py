@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
-"""Emit the F4 reference data files under klcells/data.
+"""Emit the F4 reference data files under klcells/data/cellorder.
 
 Contents are a transcription of the published two-sided cell diagrams
 and left-cell representation lists for the four parameter classes of
-F4.  Each diagram node is labeled by an irreducible character name; an
-unstarred node is a two-sided cell all of whose left cells carry that
-single irreducible, a starred node carries the several constructible
-characters listed for it.  Hasse edges are oriented from the w0 side
-(sign character) up to the identity side (trivial character).
+F4, one file per class.  Each diagram node is labeled by an
+irreducible character name; an unstarred node is a two-sided cell all
+of whose left cells carry that single irreducible, a starred node
+carries the several constructible characters listed for it.  The
+constructible characters of a class are those of all its nodes.  Hasse
+edges are oriented from the w0 side (sign character) up to the identity
+side (trivial character).
 
 Usage: python tools/gen_reference_data.py [datadir]
 """
@@ -104,14 +106,12 @@ def nodes_of(case):
 def main():
     for case in ("equal", "b2a", "between", "beyond"):
         nodes = []
-        constructible = []
         for name in nodes_of(case):
             if name in BOXES[case]:
                 cell_chars = [mults(t) for t in BOXES[case][name]]
             else:
                 cell_chars = [mults(name)]
             nodes.append({"label": name, "cells": cell_chars})
-            constructible.extend(cell_chars)
         order_path = DATADIR / "cellorder" / f"f4_{case}.json"
         order_path.parent.mkdir(parents=True, exist_ok=True)
         with open(order_path, "w", encoding="utf-8") as fh:
@@ -120,13 +120,6 @@ def main():
                       fh, indent=1, sort_keys=True)
             fh.write("\n")
         print("wrote", order_path)
-        cons_path = DATADIR / "constructible" / f"f4_{case}.json"
-        cons_path.parent.mkdir(parents=True, exist_ok=True)
-        with open(cons_path, "w", encoding="utf-8") as fh:
-            json.dump({"case": case, "characters": constructible},
-                      fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        print("wrote", cons_path)
 
 
 if __name__ == "__main__":
