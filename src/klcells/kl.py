@@ -161,8 +161,8 @@ def _half_row(sys, rows, s, u, order, vs, lower, intern, products):
     ``lower[x]`` says whether sx < x.  Returns ``(half, mu_local)``:
     half maps x -> nonzero P*_{x,u} (fresh dicts) and mu_local maps
     candidate y -> M^s_{y,w}, passed through ``intern``.  ``products``
-    caches M * P* by the identities of the two (interned) factors; its
-    values are shared and never mutated.
+    caches M * P* by the identities of the two (interned) factors, as
+    ``products[id(M)][id(P*)]``; its values are shared and never mutated.
     """
     one = order.space.one
     sign = order.sign
@@ -199,14 +199,15 @@ def _half_row(sys, rows, s, u, order, vs, lower, intern, products):
         if not q or all(sign(m) < 0 for m in q):
             continue
         m_poly = mu_local[y] = intern(symmetrize_nonneg(q, order))
-        mid = id(m_poly)
+        by_p = products.get(id(m_poly))
+        if by_p is None:
+            by_p = products[id(m_poly)] = {}
         for z, p in rows[y].items():
             if not lower[z]:
                 continue
-            key = (mid, id(p))
-            prod = products.get(key)
+            prod = by_p.get(id(p))
             if prod is None:
-                prod = products[key] = pmul(m_poly, p, one)
+                prod = by_p[id(p)] = pmul(m_poly, p, one)
             acc = E.get(z)
             if acc is None:
                 E[z] = pneg(prod)
@@ -219,9 +220,24 @@ def _half_row(sys, rows, s, u, order, vs, lower, intern, products):
 
 def _interner():
     """A function mapping each polynomial to the one shared dict equal
-    to it."""
-    interned = {}
-    return lambda p: interned.setdefault(frozenset(p.items()), p)
+    to it.
+
+    The table is keyed by ``hash(frozenset(p.items()))`` and holds the
+    first polynomial with that hash, so no frozenset outlives the call.
+    A different polynomial with the same hash (v^-1 and v^-2 collide,
+    since ``hash(-1) == hash(-2)``) falls back to a second table keyed by
+    the frozenset itself.
+    """
+    by_hash = {}
+    collided = {}
+
+    def intern(p):
+        key = frozenset(p.items())
+        q = by_hash.setdefault(hash(key), p)
+        if q is p or q == p:
+            return q
+        return collided.setdefault(key, p)
+    return intern
 
 
 def compute_kl(sys, params, order):
@@ -244,9 +260,10 @@ def compute_kl(sys, params, order):
     invalid order slipping through rank validation.
 
     Every stored P* and M polynomial goes through one intern table, so
-    equal polynomials are one shared dict; products M * P* and the
-    shifts v_s^-1 P* are cached by the factors' identities, and the
-    negativity post-condition runs once per distinct polynomial.
+    equal polynomials are one shared dict; products M * P* are cached by
+    the factors' identities in nested dicts, ``products[id(M)][id(P*)]``,
+    the shifts v_s^-1 P* per generator by ``id(P*)``, and the negativity
+    post-condition runs once per distinct polynomial.
     """
     validate_params(sys, params, order)
     space = order.space
@@ -509,8 +526,9 @@ def verify_bar_identity_full(kl):
     one column block per P-monomial.  R is held by distinct polynomial:
     per entry (x, y) the index of its polynomial, and one dense table
     of the distinct polynomials by R-monomial, so no entry is expanded
-    term by term.  For each R-monomial m1 the n x n slice R_{m1} is
-    built from the entries whose polynomial has m1, and the product
+    term by term.  The entries are grouped by polynomial once, so for
+    each R-monomial m1 the n x n slice R_{m1} is built from the entry
+    ranges of the polynomials that have m1 alone, and the product
     R_{m1} @ P has its block of m2 moved to the output monomial m1 * m2
     and is added into one running difference that starts as -bar(P); a
     block still nonzero at the end is a violated monomial slice.
@@ -533,6 +551,13 @@ def verify_bar_identity_full(kl):
                         2 * len(rtab)).reshape(-1, 2)
     r_distinct, r_which = _distinct(list(rtab.values()))
     del rtab
+    # entries grouped by polynomial: those of polynomial i are
+    # r_key[r_start[i]:r_start[i + 1]]
+    r_key = r_key[np.argsort(r_which, kind="stable")]
+    r_start = np.zeros(len(r_distinct) + 1, np.int64)
+    np.cumsum(np.bincount(r_which, minlength=len(r_distinct)),
+              out=r_start[1:])
+    del r_which
     rm, r_entry, r_mono, r_coef = _terms(r_distinct, range(len(r_distinct)))
     r_table = np.zeros((len(r_distinct), len(rm)), np.int64)
     r_table[r_entry, r_mono] = r_coef
@@ -557,10 +582,14 @@ def verify_bar_identity_full(kl):
     report.checked = len(p_col)
     del p_col, p_row, p_which, entry, mono, coef, y, w  # room for the loop
     for a, m1 in enumerate(rm):
-        r_col = r_table[r_which, a]
-        nz = np.flatnonzero(r_col)
-        r_a = sparse.csr_matrix((r_col[nz], (r_key[nz, 0], r_key[nz, 1])),
-                                shape=(n, n))
+        polys = np.flatnonzero(r_table[:, a])
+        counts = r_start[polys + 1] - r_start[polys]
+        ends = np.cumsum(counts)      # the ranges of polys, end to end
+        nz = np.arange(ends[-1]) + np.repeat(r_start[polys] - ends + counts,
+                                             counts)
+        r_a = sparse.csr_matrix(
+            (np.repeat(r_table[polys, a], counts),
+             (r_key[nz, 0], r_key[nz, 1])), shape=(n, n))
         prod = r_a @ p_all
         block = np.array([block_of[m1 + m2 - one] for m2 in pm])
         prod = sparse.csr_matrix(
