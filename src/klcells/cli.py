@@ -157,7 +157,7 @@ def cmd_check(args, parser):
     for case, wt in cases:
         _, params, order = kl_mod.weight_params(sys_, wt)
         res = results[case] = weights.analyse(
-            sys_, kl_mod.compute_kl(sys_, params, order), (1,), chart)
+            kl_mod.compute_kl(sys_, params, order), chart)
         head = f"F4 {case} {wt}" if case else f"{args.type} {wt}"
         line(not cells.check_property_L(sys_, res.left, res.two_sided),
              f"{head}: left preorder trivial on two-sided cells")
@@ -297,6 +297,9 @@ def main(argv=None):
             argv[:at] + _config_argv(args, parser) + argv[at:])
     if getattr(args, "type", "") is None:   # a config file may set it
         parser.error("the following arguments are required: --type")
+    out = getattr(args, "out", None) or getattr(args, "dest", None)
+    if out is not None and Path(out).exists() and not Path(out).is_dir():
+        parser.error(f"output path {out} is not a directory")
     try:
         return args.func(args, parser)
     except (reps.CharacterDataError, kl_mod.KLError, OverflowError,

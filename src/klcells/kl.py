@@ -66,14 +66,13 @@ class KLError(AssertionError):
     or of the cell characters computed from its M-table."""
 
 
-def class_params(sys, space=None):
+def class_params(sys):
     """Generic parameter assignment: one fresh variable per generator class.
 
     Returns ``(space, params)`` with ``params[s]`` the monomial v_s.
     """
     r = len(sys.gen_classes)
-    if space is None:
-        space = MonomialSpace(r)
+    space = MonomialSpace(r)
     params = []
     for s in range(sys.rank):
         exps = [0] * r

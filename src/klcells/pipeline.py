@@ -28,7 +28,7 @@ from . import kl as kl_mod
 from . import reps as reps_mod
 from . import weights as weights_mod
 from .coxeter import build_system, parse_type
-from .laurent import MonomialOrder, MonomialSpace, poly_json, poly_text
+from .laurent import MonomialOrder, poly_json, poly_text
 
 CHECKS = ("lemmas", "bounds", "bar", "L", "oracle")
 
@@ -80,8 +80,6 @@ class RunResult(weights_mod.Analysis):
     config: RunConfig
     sys: object
     kl: object
-    right: object
-    gamma: set
     reports: dict = field(default_factory=dict)
 
     @property
@@ -110,22 +108,16 @@ def run_pipeline(config, sys=None):
     if sys is None:
         sys = build_system(config.system)
     if config.weight is not None:
-        space, params, order = kl_mod.weight_params(sys, config.weight)
+        _, params, order = kl_mod.weight_params(sys, config.weight)
     else:
-        space = MonomialSpace(len(sys.gen_classes))
-        _, params = kl_mod.class_params(sys, space)
+        space, params = kl_mod.class_params(sys)
         order = MonomialOrder(space, config.order_functionals)
     checks = config.checks
     if "oracle" in checks:      # refuses a large group before any table
         oracle = kl_mod.oracle_kl(sys, params, order)
     data = kl_mod.compute_kl(sys, params, order)
-    gamma = weights_mod.gamma_plus_W(data)
-    # an order run on a multi-class space has no coordinate weights
-    found = weights_mod.analyse(sys, data, (1,) if space.rank == 1 else None,
-                                chart_for(sys))
-    result = RunResult(**vars(found), config=config, sys=sys, kl=data,
-                       right=cells_mod.right_cells(sys, found.left),
-                       gamma=gamma)
+    found = weights_mod.analyse(data, chart_for(sys))
+    result = RunResult(**vars(found), config=config, sys=sys, kl=data)
 
     if "lemmas" in checks:
         result.reports["lemma_p"] = kl_mod.check_lemma_p(data)
@@ -165,8 +157,7 @@ def _cross_check_weight(sys, config, weight_data):
                                "generator classes")
         return report
     cw = weights_mod.class_weights_of(sys, config.weight)
-    space = MonomialSpace(2)
-    _, params = kl_mod.class_params(sys, space)
+    space, params = kl_mod.class_params(sys)
     certified = 0
     for tie_coord in (0, 1):
         order = weights_mod.weighted_order(space, cw, tie_coord)
@@ -318,7 +309,7 @@ def _write_entry(result, outdir):
 
     cells_obj = {
         "left": result.left.as_words(sys),
-        "right": result.right.as_words(sys),
+        "right": cells_mod.right_cells(sys, result.left).as_words(sys),
         "two_sided": result.two_sided.as_words(sys),
         "left_dag": [list(e) for e in result.left.reduction],
         "two_sided_dag": [list(e) for e in result.two_sided.reduction],
@@ -339,11 +330,11 @@ def _write_entry(result, outdir):
         fh.write(cells_mod.dot_export(sys, result.two_sided, ts_labels))
         fh.write("\n")
 
-    gamma_obj = {"exponents": sorted(list(space.unpack(m))
-                                     for m in result.gamma)}
+    gamma = weights_mod.gamma_plus_W(data)
+    gamma_obj = {"exponents": sorted(list(space.unpack(m)) for m in gamma)}
     if space.rank == 2:     # an order run on a two-class system
         lo, hi, blo, bhi = weights_mod.validity_interval(
-            space, result.gamma, weights_mod.numerator_coord(sys))
+            space, gamma, weights_mod.numerator_coord(sys))
         gamma_obj["validity"] = {"lo": _frac(lo), "hi": _frac(hi),
                                  "binding_lo": sorted(map(list, blo)),
                                  "binding_hi": sorted(map(list, bhi))}

@@ -42,14 +42,9 @@ def numerator_coord(sys):
 
 
 def class_weights_of(sys, weights):
-    """Per-class values of a weight function, indexed by generator class."""
-    out = []
-    for cl in sys.gen_classes:
-        vals = {weights[s] for s in cl}
-        if len(vals) != 1:
-            raise ValueError(f"weight not constant on class {cl}")
-        out.append(vals.pop())
-    return tuple(out)
+    """Per-class values of a weight function constant on generator
+    classes (as ``kl.weight_params`` checks), indexed by class."""
+    return tuple(weights[cl[0]] for cl in sys.gen_classes)
 
 
 def weight_from_class_values(sys, class_values):
@@ -286,16 +281,17 @@ class Analysis:
     distinguished: DistinguishedReport | None
 
 
-def analyse(sys, kl_data, coord_weights, chart):
+def analyse(kl_data, chart, coord_weights=None):
     """Cells, cell characters and distinguished involutions of one table.
 
     This is the one path from computed KL data to the analysed result:
     ``pipeline.run_pipeline`` and every scan region go through it.
     ``chart`` is ``(table, class_map)``, or None for no characters.
-    ``coord_weights`` specialize the data for the distinguished
-    involution report; an order run on a multi-class space has none,
-    and then the report is None.
+    One-variable data has its distinguished involution report in its
+    own order; multi-variable data has one at ``coord_weights`` when
+    they are given, and none otherwise.
     """
+    sys = kl_data.sys
     left, edges = cells_mod.left_cells(sys, kl_data.mu)
     two_sided = cells_mod.two_sided_cells(sys, edges)
     left_chars = None
@@ -304,7 +300,7 @@ def analyse(sys, kl_data, coord_weights, chart):
         left_chars = [reps_mod.decompose(v, table, class_map) for v in
                       reps_mod.all_cell_characters(sys, kl_data, left)]
     distinguished = None
-    if coord_weights is not None:
+    if kl_data.space.rank == 1 or coord_weights is not None:
         distinguished = distinguished_involutions(kl_data, left, coord_weights)
     return Analysis(left, two_sided, left_chars, distinguished)
 
@@ -458,7 +454,7 @@ def _exact_regions(sys, chart, swap, ratio):
     found = [(ratio, data)]
     if swap is not None and ratio != 1:
         found.append((1 / ratio, kl_mod.automorphic_image(data, *swap)))
-    return [Region(**vars(analyse(sys, d, (1,), chart)), lo=r, hi=r,
+    return [Region(**vars(analyse(d, chart)), lo=r, hi=r,
                    exact=True, weight=d.params, functionals=None,
                    by_symmetry=r != ratio) for r, d in found]
 
@@ -482,8 +478,7 @@ def scan_equivalence_classes(sys, *, chart=None, jobs=1):
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, not {jobs}")
     num_coord = numerator_coord(sys)
-    space = MonomialSpace(2)
-    _, params = kl_mod.class_params(sys, space)
+    space, params = kl_mod.class_params(sys)
     lw0 = sys.length[sys.longest]
     max_runs = 16 * lw0 * lw0 + 64
     # automorphisms map classes to classes: one generator tells
@@ -495,14 +490,20 @@ def scan_equivalence_classes(sys, *, chart=None, jobs=1):
     runs = 0
     open_region_list = []   # finished Region objects for open intervals
 
+    def certify(data):
+        """Certifying set of two-variable tables and its validity interval."""
+        gamma = gamma_plus_W(data)
+        lo, hi, *_ = validity_interval(space, gamma, num_coord)
+        return gamma, (lo, hi)
+
     def probe(order):
-        """Two-variable tables and certifying set of one order run."""
+        """Two-variable tables of one order run, certified."""
         nonlocal runs
         runs += 1
         if runs > max_runs:
             raise ScanError(f"scan exceeded {max_runs} pipeline runs")
         data = kl_mod.compute_kl(sys, params, order)
-        return data, gamma_plus_W(data)
+        return data, *certify(data)
 
     def accept(lo, hi, data, gamma, validity, by_symmetry=False):
         """Make the accepted probe ``data``, with certifying set ``gamma``
@@ -511,7 +512,7 @@ def scan_equivalence_classes(sys, *, chart=None, jobs=1):
         enlarged set is positive in the data's order, so its interval is
         not empty."""
         vals = ratio_class_values(_mediant(lo, hi), num_coord)
-        found = analyse(sys, data, vals, chart)
+        found = analyse(data, chart, vals)
         gp = gamma_plus_prime_W(data, found.left, gamma)
         glo, ghi, *_ = validity_interval(space, gp, num_coord)
         open_region_list.append(Region(
@@ -524,60 +525,45 @@ def scan_equivalence_classes(sys, *, chart=None, jobs=1):
         ))
         if swap is not None and not by_symmetry:
             image = kl_mod.automorphic_image(data, *swap)
-            igamma = gamma_plus_W(image)
-            ilo, ihi, *_ = validity_interval(space, igamma, num_coord)
             accept(Fraction(0) if hi is None else 1 / hi, 1 / lo, image,
-                   igamma, (ilo, ihi), by_symmetry=True)
+                   *certify(image), by_symmetry=True)
 
     # top region through the numerator-dominant pure lexicographic order;
     # with a class swap it starts at 1 at the earliest
     top_order = lex_order(space, (num_coord, 1 - num_coord))
-    data, top_gamma = probe(top_order)
-    lo, hi, *_ = validity_interval(space, top_gamma, num_coord)
+    data, top_gamma, (lo, hi) = probe(top_order)
     if hi is not None:
         raise ScanError("pure lex region is bounded above; unexpected")
     top_lo = max(lo, bottom)
     accept(top_lo, None, data, top_gamma, (lo, hi))
     del data
 
-    def tile(lo_bound, hi_bound, hint_gamma):
-        """Cover the open interval (lo_bound, hi_bound) with regions.
-
-        Every call that does not return at once makes one probe, so
-        ``max_runs`` also bounds the recursion.
-        """
+    # one probe per nonempty open interval on the stack, the upper of a
+    # pair first (it is pushed last); max_runs bounds the loop
+    todo = [(bottom, top_lo, top_gamma)]
+    while todo:
+        lo_bound, hi_bound, hint_gamma = todo.pop()
         if lo_bound >= hi_bound:
-            return
-        guess = lo_bound
-        if hint_gamma:
-            cands = [c for c in breakpoint_candidates(space, hint_gamma, num_coord)
-                     if lo_bound < c < hi_bound]
-            if cands:
-                guess = max(cands)
+            continue
+        guess = max((c for c in breakpoint_candidates(space, hint_gamma,
+                                                      num_coord)
+                     if lo_bound < c < hi_bound), default=lo_bound)
         rho = _mediant(guess, hi_bound)
         # ties go by the denominator exponent when b >= a, else by the
         # numerator's; open regions have no certifying monomial on the
         # tie line, so the choice only fixes the run deterministically
         order = weighted_order(space, ratio_class_values(rho, num_coord),
                                1 - num_coord if rho >= 1 else num_coord)
-        data, gamma = probe(order)
-        lo, hi, *_ = validity_interval(space, gamma, num_coord)
-        if not (lo < rho and (hi is None or rho < hi)):
+        data, gamma, (lo, hi) = probe(order)
+        if lo < rho and (hi is None or rho < hi):
+            cover_lo = max(lo, lo_bound)
+            cover_hi = hi_bound if hi is None else min(hi, hi_bound)
+            accept(cover_lo, cover_hi, data, gamma, (lo, hi))
+        else:
             # rho itself is critical for its own data; split around it
-            del data
-            tile(rho, hi_bound, gamma)
-            tile(lo_bound, rho, gamma)
-            return
-        cover_lo = max(lo, lo_bound)
-        cover_hi = hi_bound if hi is None else min(hi, hi_bound)
-        accept(cover_lo, cover_hi, data, gamma, (lo, hi))
+            cover_lo = cover_hi = rho
+        todo += [(lo_bound, cover_lo, gamma), (cover_hi, hi_bound, gamma)]
         del data
-        if cover_hi < hi_bound:
-            tile(cover_hi, hi_bound, gamma)
-        if cover_lo > lo_bound:
-            tile(lo_bound, cover_lo, gamma)
-
-    tile(bottom, top_lo, top_gamma)
 
     # exact regions at the nonzero finite ends of the open regions; with
     # a class swap those below 1 are images, so only those from 1 up run
@@ -617,7 +603,6 @@ def scan_equivalence_classes(sys, *, chart=None, jobs=1):
             "left_cells": len(regions[idxs[0]].left),
             "two_sided_cells": len(regions[idxs[0]].two_sided),
         })
-    partition_classes.sort(key=lambda c: min(c["regions"]))
 
     # sanity: every region's assigned interval is inside its certificate,
     # representative weights stay within the theoretical value bound, and

@@ -241,6 +241,19 @@ def test_reference_order_rejects_mutated_regions(f4_scan):
         assert not ok, case
 
 
+def test_f4_scan_files_are_pinned(tmp_path, f4_scan, f4):
+    # sha256 of the sorted (name, file sha256) pairs of the 56 files the
+    # F4 scan writes: the largest scan, 13 of its 27 regions mirrored
+    import hashlib
+
+    out = pipeline.write_scan(f4_scan, tmp_path / "scan", f4)
+    files = sorted((p.name, hashlib.sha256(p.read_bytes()).hexdigest())
+                   for p in out.iterdir())
+    assert len(files) == 56
+    assert hashlib.sha256(repr(files).encode()).hexdigest() == \
+        "aac129001f13964e55081dbc4cd04a670ae5442c02b233a1bbf19c676b71a2e6"
+
+
 def test_criterion_05_f4_characters(f4_scan):
     for case in F4_CASE_RATIOS:
         region = _case_region(f4_scan, case)

@@ -205,6 +205,29 @@ def test_oracle_is_refused_before_any_table(tmp_path, capsys, monkeypatch):
         "error: oracle limited to groups of size <= 48"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["compute", "--type", "B3", "--weight", "2,1,1", "--out"],
+    ["scan", "--type", "B3", "--out"],
+    ["export", "--archive", "entry", "--dest"],
+])
+def test_output_path_that_is_a_file_is_refused_before_any_table(
+        tmp_path, capsys, monkeypatch, argv):
+    def fail(*args, **kwargs):
+        raise RuntimeError("compute_kl ran")
+
+    monkeypatch.setattr(pipeline.kl_mod, "compute_kl", fail)
+    monkeypatch.chdir(tmp_path)
+    Path("entry").mkdir()
+    Path("entry", "two_sided.dot").write_text("digraph {}\n")
+    Path("taken").write_text("")
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "taken"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == \
+        "klcells: error: output path taken is not a directory"
+    assert Path("taken").read_text() == ""
+
+
 def test_cli_errors(tmp_path, capsys):
     rc = cli.main(["compute", "--type", "I2:4", "--out", str(tmp_path)])
     assert rc == 2  # neither weight nor order

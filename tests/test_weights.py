@@ -291,8 +291,7 @@ def test_order_and_specialised_minimisers_agree(b3, b4, b3_scan_chars):
     compared = 0
     for sys, scan in ((b3, b3_scan_chars),
                       (b4, weights.scan_equivalence_classes(b4))):
-        space = MonomialSpace(2)
-        _, params = kl.class_params(sys, space)
+        space, params = kl.class_params(sys)
         num = weights.numerator_coord(sys)
         for reg in scan.regions:
             if reg.exact:
@@ -320,6 +319,28 @@ def test_scan_rejects_one_class_systems(a3):
         weights.scan_equivalence_classes(a3)
 
 
+def test_run_bound_ends_a_scan_that_never_converges(tmp_path, capsys,
+                                                    monkeypatch):
+    # every certificate starts above the ratios still to cover, so each
+    # probe splits its interval and the scan cannot finish; the run bound
+    # 16 * 9**2 + 64 of B3 ends it with one error line and no files
+    first = []
+    compute_kl = kl.compute_kl
+
+    def reuse_first(*args):
+        if not first:
+            first.append(compute_kl(*args))
+        return first[0]
+
+    monkeypatch.setattr(kl, "compute_kl", reuse_first)
+    monkeypatch.setattr(weights, "validity_interval",
+                        lambda *args: (Fraction(10**6), None, [], []))
+    assert cli.main(["scan", "--type", "B3", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: scan exceeded 1360 pipeline runs"]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_asymptotic_class_bound(b3):
     assert weights.asymptotic_class_bound(b3) == 18
     report = weights.scan_equivalence_classes(b3)
@@ -341,8 +362,7 @@ def test_f4_pure_lex_gamma_set(f4):
     condition separates the weights (1,5) and (1,4)."""
     from klcells.laurent import MonomialOrder
 
-    space = MonomialSpace(2)
-    _, params = kl.class_params(f4, space)
+    space, params = kl.class_params(f4)
     order = MonomialOrder(space, [(0, 1), (1, 0)])
     data = kl.compute_kl(f4, params, order)
     gamma = weights.gamma_plus_W(data)
@@ -373,8 +393,7 @@ def test_f4_specialization_consistency_sampled(f4):
     pure lex tables specialize exactly onto the weight-(1,1,5,5) tables."""
     from klcells.laurent import MonomialOrder
 
-    space = MonomialSpace(2)
-    _, params = kl.class_params(f4, space)
+    space, params = kl.class_params(f4)
     order = MonomialOrder(space, [(0, 1), (1, 0)])
     odata = kl.compute_kl(f4, params, order)
     _, w1, worder = kl.weight_params(f4, (1, 1, 5, 5))

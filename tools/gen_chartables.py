@@ -56,7 +56,7 @@ def write(raw, name):
 def run_cells(sys_, weight, chart):
     """Cells, cell characters and the Delta report at one weight."""
     _, w, order = kl.weight_params(sys_, weight)
-    return weights.analyse(sys_, kl.compute_kl(sys_, w, order), (1,), chart)
+    return weights.analyse(kl.compute_kl(sys_, w, order), chart)
 
 
 def label_f4(raw):
