@@ -90,9 +90,16 @@ def _cached_reports(entry, config):
             for r in reports.values()]
 
 
+def _refuse_file(parser, path):
+    """A usage error, before any work, when ``path`` is not a directory."""
+    if path.exists() and not path.is_dir():
+        parser.error(f"output path {path} is not a directory")
+
+
 def cmd_compute(args, parser):
     config = _run_config_from_args(args)
     entry = Path(args.out) / config.key()
+    _refuse_file(parser, entry)
     stored = None if args.force else _cached_reports(entry, config)
     if stored is not None:
         print(f"archive: {entry} (cached; --force recomputes)")
@@ -120,6 +127,8 @@ def cmd_compute(args, parser):
 
 
 def cmd_scan(args, parser):
+    target = Path(args.out) / "scan"
+    _refuse_file(parser, target)
     sys_ = build_system(args.type)
     chart = None
     if args.chars:
@@ -128,7 +137,7 @@ def cmd_scan(args, parser):
             parser.error(f"no bundled character table for {args.type}")
     report = weights.scan_equivalence_classes(sys_, chart=chart,
                                               jobs=args.jobs)
-    outdir = pipeline.write_scan(report, Path(args.out) / "scan", sys_)
+    outdir = pipeline.write_scan(report, target, sys_)
     print(pipeline.scan_to_text(report), end="")
     print(f"scan files: {outdir}")
     return 0
@@ -260,7 +269,8 @@ def build_parser():
     p.add_argument("--chars", action="store_true",
                    help="decompose cell characters per region")
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for exact-ratio regions")
+                   help="worker processes for the scan's order and exact "
+                        "runs")
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("check", help="verification battery")
@@ -298,8 +308,8 @@ def main(argv=None):
     if getattr(args, "type", "") is None:   # a config file may set it
         parser.error("the following arguments are required: --type")
     out = getattr(args, "out", None) or getattr(args, "dest", None)
-    if out is not None and Path(out).exists() and not Path(out).is_dir():
-        parser.error(f"output path {out} is not a directory")
+    if out is not None:
+        _refuse_file(parser, Path(out))
     try:
         return args.func(args, parser)
     except (reps.CharacterDataError, kl_mod.KLError, OverflowError,

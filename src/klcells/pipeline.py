@@ -205,7 +205,9 @@ def _replace_dir(target, write):
     sibling and rename it into place only when complete, so an
     interrupted run leaves nothing and an existing directory is replaced
     whole.  Temporary directories of writers that are no longer running
-    are removed first."""
+    are removed first.  A target that is not a directory is refused."""
+    if target.exists() and not target.is_dir():
+        raise ValueError(f"output path {target} is not a directory")
     root = target.parent
     tmp = root / f".{target.name}.{os.getpid()}.tmp"
     old = root / f".{target.name}.{os.getpid()}.old"

@@ -24,9 +24,9 @@ Exact rational arithmetic (fractions.Fraction) throughout; never floats.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 
 from . import cells as cells_mod
 from . import kl as kl_mod
@@ -442,11 +442,7 @@ def weighted_order(space, class_values, tie_coord):
 def _exact_regions(sys, chart, swap, ratio):
     """The region at an exact breakpoint, from a single-variable run, and
     for ratio != 1 with a class swap ``(perm, elem_map)`` also its image
-    at 1/ratio.
-
-    The serial scan maps this over the breakpoints with ``map``, the
-    parallel scan with ``pool.map``, so images are built in the workers.
-    A weight run's params are its weights.
+    at 1/ratio, as a scan task.  A weight run's params are its weights.
     """
     _, params, order = kl_mod.weight_params(sys, weight_from_class_values(
         sys, ratio_class_values(ratio, numerator_coord(sys))))
@@ -459,36 +455,17 @@ def _exact_regions(sys, chart, swap, ratio):
                    by_symmetry=r != ratio) for r, d in found]
 
 
-def scan_equivalence_classes(sys, *, chart=None, jobs=1):
-    """Partition all positive weight functions of a two-class system.
-
-    Returns a :class:`ScanReport`.  ``chart`` is ``(table, class_map)``,
-    as from ``pipeline.chart_for``, and enables per-region left-cell
-    character decompositions.  When a diagram automorphism swaps the
-    two generator classes, only ratios from 1 up are scanned: the tables
-    of each region are carried through it (``kl.automorphic_image``) to
-    the region at the inverse ratios, which is then analysed like any
-    other.  ``jobs`` > 1 computes the exact-ratio regions in a process
-    pool of at most one worker per breakpoint; serial and parallel runs
-    call the same function per breakpoint, and the merge is
-    deterministic.
+def _open_regions(sys, chart, swap, lo_bound, hi_bound, hint_gamma):
+    """One order probe of the open interval (lo_bound, hi_bound), as a
+    scan task: ``(regions, gamma, cover)``, the region it certifies (with
+    a class swap ``(perm, elem_map)`` also its image), its certifying set
+    and the interval it covers.  The top probe (hi_bound None) runs the
+    numerator-dominant pure lexicographic order; any other probe, guided
+    by its parent's set ``hint_gamma``, covers only its ratio rho when
+    rho is critical for its own data.
     """
-    if len(sys.gen_classes) != 2:
-        raise ValueError("scan requires exactly two generator classes")
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, not {jobs}")
     num_coord = numerator_coord(sys)
     space, params = kl_mod.class_params(sys)
-    lw0 = sys.length[sys.longest]
-    max_runs = 16 * lw0 * lw0 + 64
-    # automorphisms map classes to classes: one generator tells
-    perm = next((p for p in sys.diagram_automorphisms()
-                 if sys.class_of_gen[p[0]] != sys.class_of_gen[0]), None)
-    swap = None if perm is None else (perm, sys.element_map_for_auto(perm))
-    bottom = Fraction(1) if swap else Fraction(0)
-
-    runs = 0
-    open_region_list = []   # finished Region objects for open intervals
 
     def certify(data):
         """Certifying set of two-variable tables and its validity interval."""
@@ -496,55 +473,26 @@ def scan_equivalence_classes(sys, *, chart=None, jobs=1):
         lo, hi, *_ = validity_interval(space, gamma, num_coord)
         return gamma, (lo, hi)
 
-    def probe(order):
-        """Two-variable tables of one order run, certified."""
-        nonlocal runs
-        runs += 1
-        if runs > max_runs:
-            raise ScanError(f"scan exceeded {max_runs} pipeline runs")
-        data = kl_mod.compute_kl(sys, params, order)
-        return data, *certify(data)
-
-    def accept(lo, hi, data, gamma, validity, by_symmetry=False):
-        """Make the accepted probe ``data``, with certifying set ``gamma``
-        valid on ``validity``, the open region (lo, hi), and with a class
-        swap its image the region (1/hi, 1/lo).  Every member of the
-        enlarged set is positive in the data's order, so its interval is
-        not empty."""
+    def accept(lo, hi, data, gamma, validity, by_symmetry):
+        """The open region (lo, hi) of ``data``, certified by ``gamma`` on
+        ``validity``.  Every member of the enlarged set is positive in the
+        data's order, so its interval is not empty."""
         vals = ratio_class_values(_mediant(lo, hi), num_coord)
         found = analyse(data, chart, vals)
         gp = gamma_plus_prime_W(data, found.left, gamma)
         glo, ghi, *_ = validity_interval(space, gp, num_coord)
-        open_region_list.append(Region(
+        return Region(
             **vars(found), lo=lo, hi=hi, exact=False,
             weight=weight_from_class_values(sys, vals),
             functionals=data.order.functionals, validity=validity,
             order_distinguished_ok=distinguished_involutions(
                 data, found.left).ok,
             gamma_prime_validity=(glo, ghi), by_symmetry=by_symmetry,
-        ))
-        if swap is not None and not by_symmetry:
-            image = kl_mod.automorphic_image(data, *swap)
-            accept(Fraction(0) if hi is None else 1 / hi, 1 / lo, image,
-                   *certify(image), by_symmetry=True)
+        )
 
-    # top region through the numerator-dominant pure lexicographic order;
-    # with a class swap it starts at 1 at the earliest
-    top_order = lex_order(space, (num_coord, 1 - num_coord))
-    data, top_gamma, (lo, hi) = probe(top_order)
-    if hi is not None:
-        raise ScanError("pure lex region is bounded above; unexpected")
-    top_lo = max(lo, bottom)
-    accept(top_lo, None, data, top_gamma, (lo, hi))
-    del data
-
-    # one probe per nonempty open interval on the stack, the upper of a
-    # pair first (it is pushed last); max_runs bounds the loop
-    todo = [(bottom, top_lo, top_gamma)]
-    while todo:
-        lo_bound, hi_bound, hint_gamma = todo.pop()
-        if lo_bound >= hi_bound:
-            continue
+    if hi_bound is None:
+        order = lex_order(space, (num_coord, 1 - num_coord))
+    else:
         guess = max((c for c in breakpoint_candidates(space, hint_gamma,
                                                       num_coord)
                      if lo_bound < c < hi_bound), default=lo_bound)
@@ -554,37 +502,108 @@ def scan_equivalence_classes(sys, *, chart=None, jobs=1):
         # tie line, so the choice only fixes the run deterministically
         order = weighted_order(space, ratio_class_values(rho, num_coord),
                                1 - num_coord if rho >= 1 else num_coord)
-        data, gamma, (lo, hi) = probe(order)
-        if lo < rho and (hi is None or rho < hi):
-            cover_lo = max(lo, lo_bound)
-            cover_hi = hi_bound if hi is None else min(hi, hi_bound)
-            accept(cover_lo, cover_hi, data, gamma, (lo, hi))
+    data = kl_mod.compute_kl(sys, params, order)
+    gamma, (lo, hi) = certify(data)
+    if hi_bound is None and hi is not None:
+        raise ScanError("pure lex region is bounded above; unexpected")
+    if hi_bound is not None and not (lo < rho and (hi is None or rho < hi)):
+        # rho itself is critical for its own data; split around it
+        return [], gamma, (rho, rho)
+    cover = (max(lo, lo_bound), hi_bound if hi is None else min(hi, hi_bound))
+    regions = [accept(*cover, data, gamma, (lo, hi), False)]
+    if swap is not None:
+        image = kl_mod.automorphic_image(data, *swap)
+        regions.append(accept(Fraction(0) if cover[1] is None
+                              else 1 / cover[1], 1 / cover[0], image,
+                              *certify(image), True))
+    return regions, gamma, cover
+
+
+def scan_equivalence_classes(sys, *, chart=None, jobs=1):
+    """Partition all positive weight functions of a two-class system.
+
+    Returns a :class:`ScanReport`.  ``chart`` is ``(table, class_map)``,
+    as from ``pipeline.chart_for``, and enables per-region left-cell
+    character decompositions.  When a diagram automorphism swaps the
+    two generator classes, only ratios from 1 up are scanned: the tables
+    of each region are carried through it (``kl.automorphic_image``) to
+    the region at the inverse ratios, which is then analysed like any
+    other.  Every run is a task, submitted as soon as it is known: an
+    order probe (``_open_regions``) for each interval its parent probe
+    left uncovered, an exact run (``_exact_regions``) for each new region
+    end.  This function only tiles, counts runs and merges.  ``jobs`` > 1
+    runs the tasks in a process pool of at most ``os.cpu_count()``
+    workers, 1 runs them in process; the merge is deterministic.
+    """
+    if len(sys.gen_classes) != 2:
+        raise ValueError("scan requires exactly two generator classes")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, not {jobs}")
+    lw0 = sys.length[sys.longest]
+    max_runs = 16 * lw0 * lw0 + 64
+    # automorphisms map classes to classes: one generator tells
+    perm = next((p for p in sys.diagram_automorphisms()
+                 if sys.class_of_gen[p[0]] != sys.class_of_gen[0]), None)
+    swap = None if perm is None else (perm, sys.element_map_for_auto(perm))
+    # with a class swap the regions below 1 are images, so runs start at 1
+    bottom = Fraction(1) if swap else Fraction(0)
+
+    def in_range(bp):
+        return 0 < bp.numerator < 2 * lw0 and 0 < bp.denominator < 2 * lw0
+
+    pool = None
+    if jobs > 1:
+        from concurrent.futures import (FIRST_COMPLETED, ProcessPoolExecutor,
+                                        wait)
+
+        pool = ProcessPoolExecutor(min(jobs, os.cpu_count() or 1))
+    runs = 0
+    finished = []       # (interval, result) of tasks that have run
+    pending = {}        # future -> interval, with a pool
+    regions = []
+    breakpoints = set()
+
+    def submit(interval, *args):
+        """Run or queue the probe of ``interval``, or with None the exact
+        run; ``max_runs`` bounds the scan at submission."""
+        nonlocal runs
+        runs += 1
+        if runs > max_runs:
+            raise ScanError(f"scan exceeded {max_runs} pipeline runs")
+        task = _exact_regions if interval is None else _open_regions
+        if pool is None:
+            finished.append((interval, task(sys, chart, swap, *args)))
         else:
-            # rho itself is critical for its own data; split around it
-            cover_lo = cover_hi = rho
-        todo += [(lo_bound, cover_lo, gamma), (cover_hi, hi_bound, gamma)]
-        del data
+            pending[pool.submit(task, sys, chart, swap, *args)] = interval
 
-    # exact regions at the nonzero finite ends of the open regions; with
-    # a class swap those below 1 are images, so only those from 1 up run
-    breakpoints = sorted({end for reg in open_region_list
-                          for end in (reg.lo, reg.hi) if end})
-    for bp in breakpoints:
-        if not (0 < bp.numerator < 2 * lw0 and 0 < bp.denominator < 2 * lw0):
+    try:
+        submit((bottom, None), bottom, None, None)
+        while finished or pending:
+            if not finished:
+                done, _ = wait(pending, return_when=FIRST_COMPLETED)
+                finished += [(pending.pop(f), f.result()) for f in done]
+            interval, result = finished.pop()
+            if interval is None:
+                regions += result
+                continue
+            found, gamma, (cover_lo, cover_hi) = result
+            regions += found
+            # exact runs at the new nonzero finite ends of the regions
+            for bp in {end for reg in found for end in (reg.lo, reg.hi)
+                       if end} - breakpoints:
+                breakpoints.add(bp)
+                if bp >= bottom and in_range(bp):
+                    submit(None, bp)
+            lo_bound, hi_bound = interval
+            for lo, hi in ((lo_bound, cover_lo), (cover_hi, hi_bound)):
+                if hi is not None and lo < hi:
+                    submit((lo, hi), lo, hi, gamma)
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+    for bp in sorted(breakpoints):
+        if not in_range(bp):
             raise ScanError(f"breakpoint {bp} outside the theoretical range")
-    exact = [bp for bp in breakpoints if bp >= bottom]
-
-    exact_run = partial(_exact_regions, sys, chart, swap)
-    workers = min(jobs, len(exact))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            found = list(pool.map(exact_run, exact))
-    else:
-        found = list(map(exact_run, exact))
-    regions = open_region_list + [reg for regs in found for reg in regs]
-    runs += len(exact)
 
     regions.sort(key=lambda r: (r.lo, not r.exact))
 
@@ -623,9 +642,9 @@ def scan_equivalence_classes(sys, *, chart=None, jobs=1):
 
     return ScanReport(
         system_name=sys.spec.name or "custom",
-        numerator_class=tuple(sys.gen_classes[num_coord]),
+        numerator_class=tuple(sys.gen_classes[numerator_coord(sys)]),
         regions=regions,
-        breakpoints=breakpoints,
+        breakpoints=sorted(breakpoints),
         partition_classes=partition_classes,
         order_runs=runs,
         mirrored=swap is not None,

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from klcells import cli, pipeline
+from klcells import cli, pipeline, weights
 
 from conftest import system
 
@@ -228,6 +228,19 @@ def test_scan_replaces_its_whole_directory(tmp_path, capsys):
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
            for p in (tmp_path / "scan").iterdir()}
     assert got == SCAN_GOLDEN["i2_6"][1]
+
+
+def test_writer_refuses_a_file_at_its_directory(tmp_path):
+    # a caller that skips the command line's check: the file is neither
+    # moved aside nor replaced
+    sys_ = system("A1xA1")
+    target = tmp_path / "scan"
+    target.write_text("kept\n")
+    with pytest.raises(ValueError, match="is not a directory"):
+        pipeline.write_scan(weights.scan_equivalence_classes(sys_),
+                            target, sys_)
+    assert target.read_text() == "kept\n"
+    assert list(tmp_path.iterdir()) == [target]
 
 
 def test_cache_hit_reports_stored_violations(tmp_path, capsys):

@@ -228,6 +228,30 @@ def test_output_path_that_is_a_file_is_refused_before_any_table(
     assert Path("taken").read_text() == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["compute", "--type", "A1xA1", "--weight", "1,1"],
+    ["scan", "--type", "A1xA1"],
+])
+def test_file_at_the_written_directory_is_refused_before_any_table(
+        tmp_path, capsys, monkeypatch, argv):
+    # the directory a run replaces whole, <out>/<key> or <out>/scan, is a
+    # plain file: it is neither moved aside nor replaced
+    def fail(*args, **kwargs):
+        raise RuntimeError("compute_kl ran")
+
+    monkeypatch.setattr(pipeline.kl_mod, "compute_kl", fail)
+    target = tmp_path / ("scan" if argv[0] == "scan" else
+                         pipeline.RunConfig("A1xA1", weight=(1, 1)).key())
+    target.write_text("kept\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == \
+        f"klcells: error: output path {target} is not a directory"
+    assert target.read_text() == "kept\n"
+    assert list(tmp_path.iterdir()) == [target]
+
+
 def test_cli_errors(tmp_path, capsys):
     rc = cli.main(["compute", "--type", "I2:4", "--out", str(tmp_path)])
     assert rc == 2  # neither weight nor order
@@ -497,10 +521,11 @@ def test_scan_g2_has_the_characters_of_i2_6(tmp_path, capsys):
     assert got[0] == got[1]
 
 
-def test_scan_pool_has_one_worker_per_exact_run(tmp_path, capsys,
-                                               monkeypatch):
-    # --jobs below 1 is a usage error; the pool never outgrows the exact
-    # runs (B3 has two breakpoints, I2:6 one, which runs in process)
+def test_scan_pool_has_at_most_one_worker_per_cpu(tmp_path, capsys,
+                                                  monkeypatch):
+    # --jobs below 1 is a usage error; the pool is sized before the number
+    # of runs is known, so only the CPU count caps it, and --jobs 1 runs
+    # every task in process without a pool
     import concurrent.futures
 
     sizes = []
@@ -509,14 +534,13 @@ def test_scan_pool_has_one_worker_per_exact_run(tmp_path, capsys,
         def __init__(self, max_workers):
             sizes.append(max_workers)
 
-        def __enter__(self):
-            return self
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
 
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *args):
-            return map(fn, *args)
+        def shutdown(self, cancel_futures=False):
+            pass
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         RecordingPool)
@@ -526,12 +550,37 @@ def test_scan_pool_has_one_worker_per_exact_run(tmp_path, capsys,
         assert capsys.readouterr().err.splitlines() == [
             f"error: jobs must be at least 1, not {jobs}"]
     assert sizes == []
-    for name, jobs, expect in (("B3", "64", [2]), ("I2:6", "64", []),
-                               ("B3", "1", [])):
+    for cpus, jobs, expect in ((3, "64", [3]), (3, "2", [2]),
+                               (None, "64", [1]), (3, "1", [])):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         sizes.clear()
-        assert cli.main(["scan", "--type", name, "--jobs", jobs,
-                         "--out", str(tmp_path / name)]) == 0
-        assert sizes == expect, (name, jobs)
+        assert cli.main(["scan", "--type", "B3", "--jobs", jobs,
+                         "--out", str(tmp_path / jobs)]) == 0
+        assert sizes == expect, (cpus, jobs)
+
+
+def test_scan_main_process_computes_no_table_with_a_pool(tmp_path, capsys,
+                                                         monkeypatch):
+    # forked workers record their compute_kl calls in their own copy of
+    # the list, so with --jobs 2 the main process's list stays empty
+    calls = []
+    compute_kl = kl.compute_kl
+
+    def recorded(*args):
+        calls.append(args)
+        return compute_kl(*args)
+
+    monkeypatch.setattr(kl, "compute_kl", recorded)
+    runs, digests = {}, {}
+    for jobs in ("1", "2"):
+        calls.clear()
+        assert cli.main(["scan", "--type", "B3", "--chars", "--jobs", jobs,
+                         "--out", str(tmp_path / jobs)]) == 0
+        runs[jobs] = len(calls)
+        digests[jobs] = tree_digest(tmp_path / jobs / "scan")
+    scan = json.loads((tmp_path / "1" / "scan" / "scan.json").read_text())
+    assert runs == {"1": scan["order_runs"], "2": 0}
+    assert digests["1"] == digests["2"]
 
 
 def test_archive_contents(tmp_path, i26):

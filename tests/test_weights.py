@@ -1,5 +1,6 @@
 import json
 import math
+import multiprocessing
 from dataclasses import replace
 from fractions import Fraction
 
@@ -319,11 +320,13 @@ def test_scan_rejects_one_class_systems(a3):
         weights.scan_equivalence_classes(a3)
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
 def test_run_bound_ends_a_scan_that_never_converges(tmp_path, capsys,
-                                                    monkeypatch):
+                                                    monkeypatch, jobs):
     # every certificate starts above the ratios still to cover, so each
     # probe splits its interval and the scan cannot finish; the run bound
-    # 16 * 9**2 + 64 of B3 ends it with one error line and no files
+    # 16 * 9**2 + 64 of B3 ends it at submission, with one error line,
+    # no files and no worker left running
     first = []
     compute_kl = kl.compute_kl
 
@@ -335,10 +338,34 @@ def test_run_bound_ends_a_scan_that_never_converges(tmp_path, capsys,
     monkeypatch.setattr(kl, "compute_kl", reuse_first)
     monkeypatch.setattr(weights, "validity_interval",
                         lambda *args: (Fraction(10**6), None, [], []))
-    assert cli.main(["scan", "--type", "B3", "--out", str(tmp_path)]) == 1
+    assert cli.main(["scan", "--type", "B3", "--jobs", jobs,
+                     "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err.splitlines() == [
         "error: scan exceeded 1360 pipeline runs"]
     assert list(tmp_path.iterdir()) == []
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_failed_run_ends_the_scan_and_its_workers(tmp_path, capsys,
+                                                  monkeypatch, jobs):
+    # a KLError in an exact run, raised in a worker with --jobs 2 while
+    # order probes may still be queued or running, ends the scan as it
+    # does in process: exit 1, the same error line, no scan directory
+    compute_kl = kl.compute_kl
+
+    def fail_exact(sys, params, order):
+        if order.space.rank == 1:
+            raise kl.KLError("injected failure")
+        return compute_kl(sys, params, order)
+
+    monkeypatch.setattr(kl, "compute_kl", fail_exact)
+    assert cli.main(["scan", "--type", "B4", "--jobs", jobs,
+                     "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: injected failure"]
+    assert list(tmp_path.iterdir()) == []
+    assert multiprocessing.active_children() == []
 
 
 def test_asymptotic_class_bound(b3):
