@@ -109,7 +109,7 @@ def cmd_compute(args, parser):
     result = pipeline.run_pipeline(config)
     outdir = pipeline.write_archive(result, args.out)
     print(f"archive: {outdir}")
-    print(f"system {args.type}: |W| = {result.sys.size}, "
+    print(f"system {args.type}: |W| = {result.kl.sys.size}, "
           f"left cells {len(result.left)}, "
           f"two-sided cells {len(result.two_sided)}")
     if result.left_chars is not None:
@@ -145,30 +145,33 @@ def cmd_scan(args, parser):
 
 _F4_CASES = (("equal", (1, 1, 1, 1)), ("b2a", (1, 1, 2, 2)),
              ("between", (2, 2, 3, 3)), ("beyond", (1, 1, 3, 3)))
+# refinement between the named regions: every exact-ratio class refines
+# into the chambers adjacent to it on the ratio line
+_F4_REFINEMENTS = (("equal", "a=b", "between", "2a>b>a"),
+                   ("b2a", "b=2a", "beyond", "b>2a"),
+                   ("b2a", "b=2a", "between", "2a>b>a"))
 
 
 def cmd_check(args, parser):
-    """Verification battery; exit code counts failed lines."""
-    failures = 0
+    """Verification battery (a compute run per case); exits 1 on a FAIL."""
+    failed = False
 
     def line(ok, text):
-        nonlocal failures
+        nonlocal failed
         print(("PASS  " if ok else "FAIL  ") + text)
-        if not ok:
-            failures += 1
+        failed = failed or not ok
 
     sys_ = build_system(args.type)
     f4 = args.type.upper().replace("_", "") == "F4" and not args.weight
     cases = _F4_CASES if f4 else [(None, _parse_weight(args.weight)
                                    if args.weight else (1,) * sys_.rank)]
-    chart = pipeline.chart_for(sys_)
-    results = {}
+    lefts = {}      # the cells of each case, not its run's tables
     for case, wt in cases:
-        _, params, order = kl_mod.weight_params(sys_, wt)
-        res = results[case] = weights.analyse(
-            kl_mod.compute_kl(sys_, params, order), chart)
+        res = pipeline.run_pipeline(
+            pipeline.RunConfig(args.type, weight=wt, checks=("L",)), sys_)
+        lefts[case] = res.left
         head = f"F4 {case} {wt}" if case else f"{args.type} {wt}"
-        line(not cells.check_property_L(sys_, res.left, res.two_sided),
+        line(res.reports["property_L"].ok,
              f"{head}: left preorder trivial on two-sided cells")
         line(res.distinguished.ok, f"{head}: unique involution minimizers "
                                    f"with unit leading coefficient")
@@ -181,19 +184,11 @@ def cmd_check(args, parser):
         elif res.left_chars is not None:
             line(True, f"{head}: cell characters decompose integrally "
                        f"({len(res.left_chars)} cells)")
-    if f4:
-        # refinement between the named regions: every exact-ratio class
-        # refines into the chambers adjacent to it on the ratio line
-        eq, b2a = results["equal"].left, results["b2a"].left
-        betw, bey = results["between"].left, results["beyond"].left
-        refines = cells.check_union_refinement
-        line(not refines(eq, betw),
-             "F4: cells at a=b are unions of cells at 2a>b>a")
-        line(not refines(b2a, bey),
-             "F4: cells at b=2a are unions of cells at b>2a")
-        line(not refines(b2a, betw),
-             "F4: cells at b=2a are unions of cells at 2a>b>a")
-    return min(failures, 255)
+        del res     # its tables are freed before the next run
+    for coarse, at, fine, within in _F4_REFINEMENTS if f4 else ():
+        line(not cells.check_union_refinement(lefts[coarse], lefts[fine]),
+             f"F4: cells at {at} are unions of cells at {within}")
+    return int(failed)
 
 
 def cmd_export(args, parser):
@@ -255,7 +250,7 @@ def build_parser():
     p.add_argument("--order",
                    help="functional stack, rows ; separated: '0,1;1,0'")
     p.add_argument("--checks", "--check", default="lemmas,bounds",
-                   help="comma list from lemmas,bounds,bar,L,oracle")
+                   help=f"comma list from {','.join(pipeline.CHECKS)}")
     p.add_argument("--cross-check", action="store_true",
                    help="verify the weight run against certified order runs")
     p.add_argument("--out", default="runs", help="archive root directory")

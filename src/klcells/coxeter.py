@@ -314,13 +314,6 @@ class CoxeterSystem:
         return [s for s in range(self.rank)
                 if self.length[self.cayley_right[s][w]] < lw]
 
-    def first_left_descent(self, w):
-        lw = self.length[w]
-        for s in range(self.rank):
-            if self.length[self.cayley_left[s][w]] < lw:
-                return s
-        return None
-
     def mult(self, a, b):
         for s in self.words[b]:
             a = self.cayley_right[s][a]
@@ -342,7 +335,7 @@ class CoxeterSystem:
         val = memo.get(key)
         if val is not None:
             return val
-        s = self.first_left_descent(w)
+        s = self.words[w][0]        # a left descent of w
         sw = self.cayley_left[s][w]
         sy = self.cayley_left[s][y]
         if self.length[sy] < self.length[y]:

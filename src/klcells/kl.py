@@ -383,7 +383,7 @@ def compute_r(sys, params, space):
     rows = [{0: intern({one: 1})}]
     steps = {}
     for y in range(1, sys.size):
-        s = sys.first_left_descent(y)
+        s = sys.words[y][0]
         left = sys.cayley_left[s]
         prev = rows[left[y]]
         up = params[s] - one
@@ -525,10 +525,9 @@ def verify_bar_identity_full(kl):
     one column block per P-monomial.  R is held by distinct polynomial:
     per entry (x, y) the index of its polynomial, and one dense table
     of the distinct polynomials by R-monomial, so no entry is expanded
-    term by term.  The entries are grouped by polynomial once, so for
-    each R-monomial m1 the n x n slice R_{m1} is built from the entry
-    ranges of the polynomials that have m1 alone, and the product
-    R_{m1} @ P has its block of m2 moved to the output monomial m1 * m2
+    term by term.  For each R-monomial m1 the n x n slice R_{m1} is
+    built from the one list of entries, keeping those whose polynomial
+    has m1; R_{m1} @ P has its block of m2 moved to the monomial m1 * m2
     and is added into one running difference that starts as -bar(P); a
     block still nonzero at the end is a violated monomial slice.
     Blocks are numbered by packed monomial, so each move keeps the
@@ -546,17 +545,10 @@ def verify_bar_identity_full(kl):
     p_row = np.fromiter(chain.from_iterable(kl.rows), np.int64, len(p_col))
     p_distinct, p_which = _distinct(
         list(chain.from_iterable(row.values() for row in kl.rows)))
-    r_key = np.fromiter(chain.from_iterable(rtab), np.int32,
-                        2 * len(rtab)).reshape(-1, 2)
+    r_x, r_y = np.fromiter(chain.from_iterable(rtab), np.int32,
+                           2 * len(rtab)).reshape(-1, 2).T
     r_distinct, r_which = _distinct(list(rtab.values()))
     del rtab
-    # entries grouped by polynomial: those of polynomial i are
-    # r_key[r_start[i]:r_start[i + 1]]
-    r_key = r_key[np.argsort(r_which, kind="stable")]
-    r_start = np.zeros(len(r_distinct) + 1, np.int64)
-    np.cumsum(np.bincount(r_which, minlength=len(r_distinct)),
-              out=r_start[1:])
-    del r_which
     rm, r_entry, r_mono, r_coef = _terms(r_distinct, range(len(r_distinct)))
     r_table = np.zeros((len(r_distinct), len(rm)), np.int64)
     r_table[r_entry, r_mono] = r_coef
@@ -581,14 +573,9 @@ def verify_bar_identity_full(kl):
     report.checked = len(p_col)
     del p_col, p_row, p_which, entry, mono, coef, y, w  # room for the loop
     for a, m1 in enumerate(rm):
-        polys = np.flatnonzero(r_table[:, a])
-        counts = r_start[polys + 1] - r_start[polys]
-        ends = np.cumsum(counts)      # the ranges of polys, end to end
-        nz = np.arange(ends[-1]) + np.repeat(r_start[polys] - ends + counts,
-                                             counts)
-        r_a = sparse.csr_matrix(
-            (np.repeat(r_table[polys, a], counts),
-             (r_key[nz, 0], r_key[nz, 1])), shape=(n, n))
+        vals = r_table[r_which, a]
+        nz = np.flatnonzero(vals)
+        r_a = sparse.csr_matrix((vals[nz], (r_x[nz], r_y[nz])), shape=(n, n))
         prod = r_a @ p_all
         block = np.array([block_of[m1 + m2 - one] for m2 in pm])
         prod = sparse.csr_matrix(

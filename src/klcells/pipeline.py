@@ -78,7 +78,6 @@ class RunConfig:
 @dataclass
 class RunResult(weights_mod.Analysis):
     config: RunConfig
-    sys: object
     kl: object
     reports: dict = field(default_factory=dict)
 
@@ -117,7 +116,7 @@ def run_pipeline(config, sys=None):
         oracle = kl_mod.oracle_kl(sys, params, order)
     data = kl_mod.compute_kl(sys, params, order)
     found = weights_mod.analyse(data, chart_for(sys))
-    result = RunResult(**vars(found), config=config, sys=sys, kl=data)
+    result = RunResult(**vars(found), config=config, kl=data)
 
     if "lemmas" in checks:
         result.reports["lemma_p"] = kl_mod.check_lemma_p(data)
@@ -303,8 +302,8 @@ def _stream_table(outdir, name, rows):
 
 def _write_entry(result, outdir):
     config = result.config
-    sys = result.sys
     data = result.kl
+    sys = data.sys
     space = data.space
 
     _write_tables(outdir, sys, data)
@@ -477,8 +476,9 @@ def scan_to_json(report):
                                                   reg.gamma_prime_validity))
         if reg.distinguished is not None:
             obj["distinguished_ok"] = reg.distinguished.ok
-        if reg.char_labels is not None:
-            obj["cell_characters"] = sorted(set(reg.char_labels))
+        if reg.left_chars is not None:
+            obj["cell_characters"] = sorted(set(map(
+                reps_mod.decomposition_name, reg.left_chars)))
         regions.append(obj)
     return {
         "system": report.system_name,

@@ -369,12 +369,6 @@ class Region(Analysis):
     gamma_prime_validity: tuple | None = None
     by_symmetry: bool = False
 
-    @property
-    def char_labels(self):
-        if self.left_chars is None:
-            return None
-        return [reps_mod.decomposition_name(m) for m in self.left_chars]
-
     def interval_text(self):
         if self.exact:
             return f"b/a = {self.lo}"

@@ -88,7 +88,7 @@ def test_canonical_words_are_reduced_and_lex_minimal():
             # lex-least: the first letter is the smallest left descent and
             # the rest is the canonical word of the shorter element
             if w:
-                s = sys.first_left_descent(w)
+                s = sys.left_descents(w)[0]
                 assert word[0] == s
                 assert word[1:] == sys.words[sys.cayley_left[s][w]]
         # index order is breadth-first by length then lexicographic by word

@@ -161,12 +161,32 @@ def test_cli_check_f4(capsys):
 
 
 def test_cli_check_reports_a_failed_line(capsys, monkeypatch):
+    # two failed lines still exit 1, not 2, which reads as a usage error
     monkeypatch.setattr(cells, "check_property_L",
                         lambda sys, left, two_sided: [("planted", 0)])
+    monkeypatch.setattr(weights, "distinguished_involutions",
+                        lambda kl_data, left, coord_weights=None:
+                        weights.DistinguishedReport([], [("planted",)]))
     assert cli.main(["check", "--type", "B3", "--weight", "2,1,1"]) == 1
     out = capsys.readouterr().out.splitlines()
     assert [ln for ln in out if ln.startswith("FAIL")] == [
-        "FAIL  B3 (2, 1, 1): left preorder trivial on two-sided cells"]
+        "FAIL  B3 (2, 1, 1): left preorder trivial on two-sided cells",
+        "FAIL  B3 (2, 1, 1): unique involution minimizers with unit "
+        "leading coefficient"]
+
+
+def test_cli_check_runs_the_compute_path(capsys, monkeypatch):
+    # each case is one run_pipeline run whose (L) report gives the line
+    configs = []
+    run = pipeline.run_pipeline
+
+    def record(config, sys=None):
+        configs.append(config)
+        return run(config, sys)
+
+    monkeypatch.setattr(pipeline, "run_pipeline", record)
+    assert cli.main(["check", "--type", "B3", "--weight", "2,1,1"]) == 0
+    assert [c.checks for c in configs] == [("L",)]
 
 
 def test_cli_check_computes_no_certifying_set_or_right_cells(capsys,

@@ -258,7 +258,7 @@ def test_scan_parallel_matches_serial(i26, b3, b3_scan_chars, i26_scan_chars):
             pipeline.scan_to_json(parallel)
         for report in (serial, parallel):
             for reg in report.regions:
-                assert reg.char_labels is not None, \
+                assert reg.left_chars is not None, \
                     (table, reg.interval_text())
 
 
