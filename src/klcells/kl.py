@@ -164,8 +164,7 @@ def _half_row(sys, rows, s, u, order, vs, lower, intern, products):
     ``products[id(M)][id(P*)]``; its values are shared and never mutated.
     """
     one = order.space.one
-    sign = order.sign
-    length = sys.length
+    all_negative = order.all_negative
     left_s = sys.cayley_left[s]
     w = left_s[u]
     shift = vs - one
@@ -190,12 +189,12 @@ def _half_row(sys, rows, s, u, order, vs, lower, intern, products):
                 E[sy] = dict(p)
             else:
                 padd_into(t, p)
-    cands = [y for y in E if y != u]
-    cands.sort(key=lambda y: (-length[y], y))
+    # indices are breadth-first by length; y corrects only shorter z
+    cands = sorted((y for y in E if y != u), reverse=True)
     mu_local = {}
     for y in cands:
         q = E.get(y)
-        if not q or all(sign(m) < 0 for m in q):
+        if not q or all_negative(q):
             continue
         m_poly = mu_local[y] = intern(symmetrize_nonneg(q, order))
         by_p = products.get(id(m_poly))
@@ -261,8 +260,8 @@ def compute_kl(sys, params, order):
     Every stored P* and M polynomial goes through one intern table, so
     equal polynomials are one shared dict; products M * P* are cached by
     the factors' identities in nested dicts, ``products[id(M)][id(P*)]``,
-    the shifts v_s^-1 P* per generator by ``id(P*)``, and the negativity
-    post-condition runs once per distinct polynomial.
+    the shifts v_s^-1 P* per generator by ``id(P*)``; both sign tests
+    (the M-candidates, the post-condition) are ``order.all_negative``.
     """
     validate_params(sys, params, order)
     space = order.space
@@ -283,11 +282,10 @@ def compute_kl(sys, params, order):
     lower = [[length[left_s[x]] < length[x] for x in range(sys.size)]
              for left_s in sys.cayley_left]
     products = {}
-    negative = set()        # ids of polynomials checked strictly negative
     rows = [None] * sys.size
     rows[0] = {0: intern({one: 1})}
     mu = {}
-    sign = order.sign
+    all_negative = order.all_negative
     for u in range(1, sys.size):
         row = None
         for s in sys.left_descents(u):
@@ -306,17 +304,13 @@ def compute_kl(sys, params, order):
                         f"not 1: {poly_text(space, top or {}, order)}"
                     )
                 for y, p in row.items():
-                    if y == u or id(p) in negative:
-                        continue
-                    for m in p:
-                        if sign(m) >= 0:
-                            raise KLError(
-                                "P*_{%s,%s} = %s has a non-negative monomial;"
-                                " invalid order or implementation fault"
-                                % (sys.word_text(y), sys.word_text(u),
-                                   poly_text(space, p, order))
-                            )
-                    negative.add(id(p))
+                    if y != u and not all_negative(p):
+                        raise KLError(
+                            "P*_{%s,%s} = %s has a non-negative monomial;"
+                            " invalid order or implementation fault"
+                            % (sys.word_text(y), sys.word_text(u),
+                               poly_text(space, p, order))
+                        )
                 rows[u] = row
             elif 2 * len(half) != len(row) or any(
                     row.get(x) != p

@@ -96,24 +96,37 @@ class MonomialOrder:
                 f"functional stack {fs} has rank < {space.rank}: order is not total"
             )
         self._signs = {}
+        self._keys = {}
+        self.negatives = set()      # every monomial signed -1 so far
 
     def sign(self, m):
         """-1, 0 or +1 for gamma below, equal to or above 1: the sign of
         the first nonzero value of ``key(m)``.
 
-        Memoised per packed monomial: a table run evaluates the sign of
-        the same few dozen monomials millions of times.
+        Memoised per packed monomial, like ``key``: a table run evaluates
+        the sign of the same few dozen monomials millions of times.
         """
         s = self._signs.get(m)
         if s is None:
             v = next((v for v in self.key(m) if v), 0)
             s = self._signs[m] = (v > 0) - (v < 0)
+            if s < 0:
+                self.negatives.add(m)
         return s
+
+    def all_negative(self, p):
+        """Whether every monomial of p is below 1.  A monomial not yet
+        signed negative is signed here, never taken as negative."""
+        return p.keys() <= self.negatives or all(self.sign(m) < 0 for m in p)
 
     def key(self, m):
         """Sort key: ascending key order is ascending monomial order."""
-        exps = self.space.unpack(m)
-        return tuple(sum(c * e for c, e in zip(f, exps)) for f in self.functionals)
+        k = self._keys.get(m)
+        if k is None:
+            exps = self.space.unpack(m)
+            k = self._keys[m] = tuple(sum(c * e for c, e in zip(f, exps))
+                                      for f in self.functionals)
+        return k
 
     def __repr__(self):
         return f"MonomialOrder({list(self.functionals)})"

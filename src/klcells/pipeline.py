@@ -21,6 +21,7 @@ import shutil
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import groupby
 from pathlib import Path
 
 from . import cells as cells_mod
@@ -28,7 +29,7 @@ from . import kl as kl_mod
 from . import reps as reps_mod
 from . import weights as weights_mod
 from .coxeter import build_system, parse_type
-from .laurent import MonomialOrder, poly_json, poly_text
+from .laurent import MonomialOrder, poly_text
 
 CHECKS = ("lemmas", "bounds", "bar", "L", "oracle")
 
@@ -251,53 +252,56 @@ def _sweep_stale(root):
 
 
 def _write_tables(outdir, sys, data):
-    """Stream the P* and M tables as TSV and JSON, one pass per table.
+    """Write the P* and M tables as TSV and JSON, one pass per table.
 
     Each element's word and each polynomial object are rendered once
     (keyed by ``id``: ``compute_kl`` stores equal polynomials as one
-    object, and every keyed object stays alive in ``data``).
-    The JSON files hold exactly what ``json.dump(rows, indent=1,
-    sort_keys=True)`` would write for the row objects: a polynomial's
-    fragment comes from ``json.dumps(indent=1)`` re-indented to its
-    depth, and only the row framing is literal text.
+    object, and every keyed object stays alive in ``data``); its JSON
+    fragment is formatted by hand from its monomials sorted by the
+    order's memoised key.  The JSON files hold exactly what
+    ``json.dump(rows, indent=1, sort_keys=True)`` writes for the row
+    objects, ``"poly"`` being ``poly_json``.  Each group of rows (one w
+    of P*, one (s, y) of M) goes to each file in one write.
     """
     space, order = data.space, data.order
+    unpack, key = space.unpack, order.key
     words = [sys.word_text(w) for w in range(sys.size)]
     quoted = [json.dumps(t) for t in words]
     rendered = {}
 
     def render(p):
-        out = rendered.get(id(p))
-        if out is None:
-            frag = json.dumps(poly_json(space, p, order), indent=1,
-                              sort_keys=True)
-            out = rendered[id(p)] = (poly_text(space, p, order),
-                                     frag.replace("\n", "\n  "))
+        frag = ",".join(
+            "\n   [\n    [" + ",".join(f"\n     {e}" for e in unpack(m))
+            + f"\n    ],\n    {p[m]}\n   ]"
+            for m in sorted(p, key=key, reverse=True))
+        out = rendered[id(p)] = (poly_text(space, p, order), f"[{frag}\n  ]")
         return out
 
-    _stream_table(outdir, "ptable", (
-        (f"{words[y]}\t{words[w]}",
-         f'\n  "w": {quoted[w]},\n  "y": {quoted[y]}', render(row[y]))
-        for w, row in enumerate(data.rows) for y in sorted(row)))
-    _stream_table(outdir, "mutable", (
-        (f"{s + 1}\t{words[y]}\t{words[w]}",
-         f'\n  "s": {s + 1},\n  "w": {quoted[w]},\n  "y": {quoted[y]}',
-         render(data.mu[s, y, w]))
-        for s, y, w in sorted(data.mu)))
+    def write(name, groups):    # of (TSV columns, JSON fields, poly)
+        with open(outdir / f"{name}.tsv", "w", encoding="utf-8") as tsv, \
+                open(outdir / f"{name}.json", "w", encoding="utf-8") as js:
+            sep = "[\n"
+            for group in groups:
+                lines, objs = [], []
+                for cols, fields, p in group:
+                    text, frag = rendered.get(id(p)) or render(p)
+                    lines.append(f"{cols}\t{text}\n")
+                    objs.append(f'{sep} {{\n  "poly": {frag},{fields}\n }}')
+                    sep = ",\n"
+                tsv.write("".join(lines))
+                js.write("".join(objs))
+            js.write("[]\n" if sep == "[\n" else "\n]\n")
 
-
-def _stream_table(outdir, name, rows):
-    """Write ``<name>.tsv`` and ``<name>.json`` from (columns, fields,
-    (poly text, poly JSON fragment)) rows; ``fields`` are the JSON keys
-    after ``"poly"``, already rendered."""
-    with open(outdir / f"{name}.tsv", "w", encoding="utf-8") as tsv, \
-            open(outdir / f"{name}.json", "w", encoding="utf-8") as js:
-        sep = "[\n"
-        for cols, fields, (text, frag) in rows:
-            tsv.write(f"{cols}\t{text}\n")
-            js.write(f'{sep} {{\n  "poly": {frag},{fields}\n }}')
-            sep = ",\n"
-        js.write("[]\n" if sep == "[\n" else "\n]\n")
+    write("ptable", (
+        ((f"{words[y]}\t{words[w]}",
+          f'\n  "w": {quoted[w]},\n  "y": {quoted[y]}', row[y])
+         for y in sorted(row))
+        for w, row in enumerate(data.rows)))
+    write("mutable", (
+        ((f"{s + 1}\t{words[y]}\t{words[w]}",
+          f'\n  "s": {s + 1},\n  "w": {quoted[w]},\n  "y": {quoted[y]}',
+          data.mu[s, y, w]) for s, y, w in group)
+        for _, group in groupby(sorted(data.mu), key=lambda k: k[:2])))
 
 
 def _write_entry(result, outdir):

@@ -7,7 +7,8 @@ import sys
 
 import pytest
 
-from klcells import cli, pipeline, weights
+from klcells import cli, kl, pipeline, weights
+from klcells.laurent import MonomialOrder, poly_json
 
 from conftest import system
 
@@ -129,6 +130,37 @@ def test_c3_archive_equals_b3(tmp_path, capsys):
                         if p.name != "meta.json"})
     assert "chars.json" in entries[0]
     assert entries[0] == entries[1]
+
+
+@pytest.mark.parametrize("cfg", [
+    pipeline.RunConfig(system="B4", order_functionals=((1, 2), (1, 0))),
+    pipeline.RunConfig(system="B4", weight=(5, 2, 2, 2)),
+], ids=["B4-order", "B4-weight"])
+def test_tables_are_the_json_of_the_rows(tmp_path, cfg):
+    # the hand-formatted fragments read back as poly_json, and each file
+    # is what json.dump writes for the row objects; the goldens pin
+    # bytes on B3 only, this covers rank-2 exponents and longer rows
+    sys = system(cfg.system)
+    if cfg.weight is None:
+        space, params = kl.class_params(sys)
+        order = MonomialOrder(space, cfg.order_functionals)
+    else:
+        space, params, order = kl.weight_params(sys, cfg.weight)
+    data = kl.compute_kl(sys, params, order)
+    pipeline._write_tables(tmp_path, sys, data)
+    word = sys.word_text
+    tables = {
+        "ptable": [{"poly": poly_json(space, row[y], order),
+                    "w": word(w), "y": word(y)}
+                   for w, row in enumerate(data.rows) for y in sorted(row)],
+        "mutable": [{"poly": poly_json(space, data.mu[s, y, w], order),
+                     "s": s + 1, "w": word(w), "y": word(y)}
+                    for s, y, w in sorted(data.mu)],
+    }
+    for name, rows in tables.items():
+        text = (tmp_path / f"{name}.json").read_text(encoding="utf-8")
+        assert json.loads(text) == rows
+        assert text == json.dumps(rows, indent=1, sort_keys=True) + "\n"
 
 
 def _compute(root, *extra):

@@ -616,6 +616,30 @@ def test_compute_kl_refuses_a_planted_fault(tmp_path, capsys, monkeypatch,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("planted", ["one", "v_s", "unsigned"])
+def test_negativity_post_condition_catches_a_planted_monomial(monkeypatch,
+                                                              planted):
+    # a copy of one P* entry of the longest element gains a monomial that
+    # is not below 1: 1 itself, a parameter (signed positive long
+    # before), or v^99, which the order has never signed
+    sys = system("B3")
+    space, params, order = kl.weight_params(sys, (2, 1, 1))
+    mono = {"one": space.one, "v_s": params[0], "unsigned": 99}[planted]
+    real = kl._half_row
+
+    def planting(sys_, rows, s, u, *args):
+        half, mu_local = real(sys_, rows, s, u, *args)
+        if u == sys.longest:
+            x = next(x for x in half if x != u)
+            half[x] = {**half[x], mono: 1}
+        return half, mu_local
+
+    monkeypatch.setattr(kl, "_half_row", planting)
+    with pytest.raises(kl.KLError, match="has a non-negative monomial"):
+        kl.compute_kl(sys, params, order)
+    assert order.sign(mono) >= 0 and mono not in order.negatives
+
+
 def test_lemma_m_reports_bar_and_support_violations():
     sys = system("B3")
     space, params, order = kl.weight_params(sys, (2, 1, 1))

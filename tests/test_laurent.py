@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from klcells import kl
 from klcells.laurent import (
     MonomialOrder,
     MonomialSpace,
@@ -18,6 +19,8 @@ from klcells.laurent import (
     split,
     symmetrize_nonneg,
 )
+
+from conftest import system
 
 
 def is_bar_invariant(p, space):
@@ -223,3 +226,49 @@ def test_text_and_json_forms():
     assert poly_text(space, {}, order) == "0"
     space1 = MonomialSpace(1)
     assert poly_text(space1, {-1: 1}, lex_order(space1)) == "v^-1"
+
+
+def direct_key(order, m):
+    """Sort key of m, from the functional stack alone."""
+    exps = order.space.unpack(m)
+    return tuple(sum(c * e for c, e in zip(f, exps))
+                 for f in order.functionals)
+
+
+def test_all_negative_and_key_memo_match_functionals():
+    # every polynomial of a two-variable B3 run, under the run's order
+    # (all P* below 1, M mixed) and under an order whose leading
+    # functional is negative on one class (mixed answers for both)
+    sys = system("B3")
+    space, params = kl.class_params(sys)
+    run_order = MonomialOrder(space, [(1, 2), (1, 0)])
+    data = kl.compute_kl(sys, params, run_order)
+    polys = [p for row in data.rows for p in row.values()]
+    polys.extend(data.mu.values())
+    for order in (run_order, MonomialOrder(space, [(2, -5), (1, 1)])):
+        answers = set()
+        for _ in range(2):      # the second pass is served from the memos
+            for p in polys:
+                want = all(direct_sign(order, m) < 0 for m in p)
+                assert order.all_negative(p) == want
+                answers.add(want)
+                for m in p:
+                    assert order.key(m) == direct_key(order, m)
+        assert answers == {True, False}
+        assert order.negatives == {m for m, s in order._signs.items()
+                                   if s < 0}
+
+
+def test_all_negative_signs_monomials_it_has_not_seen():
+    space = MonomialSpace(2)
+    order = MonomialOrder(space, [(1, 2), (1, 0)])
+    below = space.pack((-1, 0))
+    assert order.all_negative({below: 1})
+    # a monomial never signed is signed, not taken as negative
+    for exps, want in [((-1, 1), False), ((0, 0), False), ((1, -1), True)]:
+        m = space.pack(exps)
+        assert m not in order._signs
+        assert order.all_negative({below: 2, m: -1}) is want
+        assert order._signs[m] == direct_sign(order, m)
+        assert (m in order.negatives) is want
+    assert order.all_negative({}) is True
