@@ -473,13 +473,11 @@ def scan_to_json(report):
             "partition_digest": hashlib.sha256(
                 repr(reg.left.canonical()).encode()).hexdigest()[:16],
         }
-        if reg.validity is not None:
+        if not reg.exact:
             obj["validity"] = list(map(_frac, reg.validity))
-        if reg.gamma_prime_validity is not None:
             obj["star_prime_validity"] = list(map(_frac,
                                                   reg.gamma_prime_validity))
-        if reg.distinguished is not None:
-            obj["distinguished_ok"] = reg.distinguished.ok
+        obj["distinguished_ok"] = reg.distinguished.ok
         if reg.left_chars is not None:
             obj["cell_characters"] = sorted(set(map(
                 reps_mod.decomposition_name, reg.left_chars)))

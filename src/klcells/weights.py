@@ -388,7 +388,7 @@ class ScanReport:
     regions: list                 # sorted by (lo, exact descending)
     breakpoints: list
     partition_classes: list       # list of dicts
-    order_runs: int
+    order_runs: int               # table runs: order probes and exact runs
     mirrored: bool
 
     def region_of_ratio(self, r):
@@ -434,9 +434,9 @@ def weighted_order(space, class_values, tie_coord):
 
 
 def _exact_regions(sys, chart, swap, ratio):
-    """The region at an exact breakpoint, from a single-variable run, and
-    for ratio != 1 with a class swap ``(perm, elem_map)`` also its image
-    at 1/ratio, as a scan task.  A weight run's params are its weights.
+    """Scan task ``(regions, None, (ratio, ratio))`` at an exact breakpoint:
+    its region from a single-variable run, whose params are its weights, and
+    for ratio != 1 with a class swap ``(perm, elem_map)`` its image at 1/ratio.
     """
     _, params, order = kl_mod.weight_params(sys, weight_from_class_values(
         sys, ratio_class_values(ratio, numerator_coord(sys))))
@@ -444,9 +444,9 @@ def _exact_regions(sys, chart, swap, ratio):
     found = [(ratio, data)]
     if swap is not None and ratio != 1:
         found.append((1 / ratio, kl_mod.automorphic_image(data, *swap)))
-    return [Region(**vars(analyse(d, chart)), lo=r, hi=r,
-                   exact=True, weight=d.params, functionals=None,
-                   by_symmetry=r != ratio) for r, d in found]
+    return [Region(**vars(analyse(d, chart)), lo=r, hi=r, exact=True,
+                   weight=d.params, functionals=None, by_symmetry=r != ratio)
+            for r, d in found], None, (ratio, ratio)
 
 
 def _open_regions(sys, chart, swap, lo_bound, hi_bound, hint_gamma):
@@ -557,41 +557,37 @@ def scan_equivalence_classes(sys, *, chart=None, jobs=1):
     regions = []
     breakpoints = set()
 
-    def submit(interval, *args):
-        """Run or queue the probe of ``interval``, or with None the exact
-        run; ``max_runs`` bounds the scan at submission."""
+    def submit(task, interval, *args):
+        """Run or queue ``task`` on ``interval``, a point for an exact run;
+        ``max_runs`` bounds the scan at submission."""
         nonlocal runs
         runs += 1
         if runs > max_runs:
             raise ScanError(f"scan exceeded {max_runs} pipeline runs")
-        task = _exact_regions if interval is None else _open_regions
         if pool is None:
             finished.append((interval, task(sys, chart, swap, *args)))
         else:
             pending[pool.submit(task, sys, chart, swap, *args)] = interval
 
     try:
-        submit((bottom, None), bottom, None, None)
+        submit(_open_regions, (bottom, None), bottom, None, None)
         while finished or pending:
             if not finished:
                 done, _ = wait(pending, return_when=FIRST_COMPLETED)
                 finished += [(pending.pop(f), f.result()) for f in done]
-            interval, result = finished.pop()
-            if interval is None:
-                regions += result
-                continue
-            found, gamma, (cover_lo, cover_hi) = result
+            interval, (found, gamma, (cover_lo, cover_hi)) = finished.pop()
             regions += found
-            # exact runs at the new nonzero finite ends of the regions
+            # exact runs at the new nonzero finite ends of the regions (an
+            # exact run's ends are breakpoints already)
             for bp in {end for reg in found for end in (reg.lo, reg.hi)
                        if end} - breakpoints:
                 breakpoints.add(bp)
                 if bp >= bottom and in_range(bp):
-                    submit(None, bp)
+                    submit(_exact_regions, (bp, bp), bp)
             lo_bound, hi_bound = interval
             for lo, hi in ((lo_bound, cover_lo), (cover_hi, hi_bound)):
                 if hi is not None and lo < hi:
-                    submit((lo, hi), lo, hi, gamma)
+                    submit(_open_regions, (lo, hi), lo, hi, gamma)
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)

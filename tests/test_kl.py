@@ -463,6 +463,35 @@ def test_checks_report_every_entry_of_a_shared_polynomial():
     assert kl.check_lemma_p(good).ok and kl.check_bounds(good).ok
 
 
+def _with_extra_monomial(data, exps):
+    """A copy of ``data`` whose first off-diagonal P* entry of w0 gains
+    the monomial with exponents ``exps``, and that entry's key."""
+    space, w0 = data.space, data.sys.longest
+    y = next(y for y in data.rows[w0] if y != w0)
+    rows = list(data.rows)
+    rows[w0] = dict(rows[w0])
+    rows[w0][y] = {**rows[w0][y], space.pack(exps): 1}
+    return replace(data, rows=rows), ("P", y, w0)
+
+
+def test_one_variable_bound_is_attained_and_not_exceeded():
+    sys = system("B3")
+    data = kl.compute_kl(sys, *kl.weight_params(sys, (2, 1, 1))[1:])
+    rep = kl.check_bounds(data)
+    assert rep.ok and rep.notes["strict_bound"] == 12
+    assert rep.notes["min_exponents"] == [-12]
+    bad, key = _with_extra_monomial(data, (-13,))
+    assert kl.check_bounds(bad).violations == [(key, (-13,))]
+
+
+def test_two_variable_bound_is_strict():
+    data = generic_run("B3")[3]
+    assert kl.check_bounds(data).notes["strict_bound"] == 9
+    bad, key = _with_extra_monomial(data, (-9, 0))
+    assert kl.check_bounds(bad).violations == [(key, (-9, 0))]
+    assert kl.check_bounds(_with_extra_monomial(data, (-8, 0))[0]).ok
+
+
 def lower_flags(sys, s):
     """lower[x]: whether s is a left descent of x."""
     left_s, length = sys.cayley_left[s], sys.length

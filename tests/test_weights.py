@@ -215,6 +215,24 @@ def test_scan_regions_tile_b3(b3):
             assert vhi is None or reg.hi is None or vhi >= reg.hi
 
 
+def test_exact_run_returns_the_task_shape_of_a_probe(i26, b3):
+    # an exact run, like an order probe, returns (regions, gamma, cover);
+    # it has no certifying set and covers the point ratio, and under the
+    # class swap of I2:6 it also returns the image region at 1/ratio
+    perm = next(p for p in i26.diagram_automorphisms()
+                if i26.class_of_gen[p[0]] != i26.class_of_gen[0])
+    swap = (perm, i26.element_map_for_auto(perm))
+    found, gamma, cover = weights._exact_regions(i26, None, swap, Fraction(2))
+    assert gamma is None and cover == (Fraction(2), Fraction(2))
+    assert [(r.lo, r.hi, r.exact, r.by_symmetry) for r in found] == [
+        (Fraction(2), Fraction(2), True, False),
+        (Fraction(1, 2), Fraction(1, 2), True, True)]
+    found, gamma, cover = weights._exact_regions(b3, None, None, Fraction(1))
+    assert gamma is None and cover == (Fraction(1), Fraction(1))
+    assert [(r.lo, r.hi, r.exact) for r in found] == [
+        (Fraction(1), Fraction(1), True)]
+
+
 def test_scan_weight_landing_exhaustive():
     # every weight with values <= 10 lands in exactly one region whose
     # partition equals its directly computed one
