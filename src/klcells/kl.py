@@ -34,6 +34,11 @@ shared dict, and work on them is cached by object identity.  Stored
 polynomials must therefore never be mutated in place.  Checks that
 memoise by ``id`` stay correct on tables that were never interned,
 because every keyed object is kept alive by the table itself.
+
+Row u depends only on the rows it reads and on the signs of the
+monomials consulted for it: the scan's certifying-set argument, one row
+at a time.  So a run may take rows from an earlier run whose records
+allow it (``compute_kl`` with ``base``).
 """
 
 from __future__ import annotations
@@ -103,6 +108,24 @@ def weight_params(sys, weights):
     return space, tuple(weights), order
 
 
+def specialize_monomial(space, coord_weights, m):
+    exps = space.unpack(m)
+    return sum(w * e for w, e in zip(coord_weights, exps))
+
+
+def specialize_poly(space, coord_weights, poly):
+    """Push a polynomial along v_s -> v^L(s); returns a rank-1 poly dict."""
+    out = {}
+    for m, c in poly.items():
+        e = specialize_monomial(space, coord_weights, m)
+        v = out.get(e, 0) + c
+        if v:
+            out[e] = v
+        else:
+            del out[e]
+    return out
+
+
 def validate_params(sys, params, order):
     """Check v_s constant on generator classes and positive for the order."""
     for cl in sys.gen_classes:
@@ -137,6 +160,7 @@ class KLData:
     rows: list            # rows[w]: dict y -> P*_{y,w} (includes y=w -> 1)
     mu: dict              # (s, y, w) -> nonzero bar-invariant polynomial
     v_elem: list = None   # v_w per element
+    records: tuple = None  # of a recording run, see compute_kl
 
     def mu_by_sw(self):
         """Index (s, w) -> list of (y, M^s_{y,w}) pairs, sorted by y."""
@@ -238,7 +262,76 @@ def _interner():
     return intern
 
 
-def compute_kl(sys, params, order):
+class _Reuse:
+    """What a run may take from its base run (see :func:`compute_kl`).
+
+    ``image`` carries a base polynomial into the run (interned, memoised
+    by ``id``), ``changed`` has the bit of each recorded monomial whose
+    image changed sign, and ``same[x]`` says whether row x equals the
+    image of the base's row x (None: not compared yet).
+    """
+
+    def __init__(self, base, sys, params, order, intern):
+        if base.records is None:
+            raise ValueError("the base run kept no records")
+        self.base = base
+        signs, self.records = base.records
+        self.identity = tuple(params) == base.params
+        mono = self.image = lambda p: p     # same parameters: as they are
+        if not self.identity:
+            if (order.space.rank != 1 or hasattr(order, "consulted")
+                    or base.params != class_params(sys)[1]):
+                raise ValueError("a base run needs the same parameters, or "
+                                 "one variable per class for a weight run")
+            cw = tuple(params[cl[0]] for cl in sys.gen_classes)
+            mono = lambda m: specialize_monomial(base.space, cw, m)
+            images = {}
+
+            def image(p):
+                q = images.get(id(p))
+                if q is None:
+                    q = images[id(p)] = intern(
+                        specialize_poly(base.space, cw, p))
+                return q
+            self.image = image
+        self.changed = sum(1 << i for i, (m, s) in enumerate(signs.items())
+                           if order.sign(mono(m)) != s)
+        self.same = [True] + [None] * (sys.size - 1)
+
+    def row(self, u):
+        """The image of the base's row u, without zero entries; the base's
+        row object itself when the parameters are the same."""
+        row = self.base.rows[u]
+        if self.identity:
+            return row
+        image = self.image
+        return {y: q for y, p in row.items() if (q := image(p))}
+
+    def take(self, u, rows):
+        """``(row, M items, record)`` of row u from the base, or None when
+        a monomial it consulted changed sign or a row it read differs."""
+        record = self.records[u]
+        reads, mask, keys = record
+        if mask & self.changed:
+            return None
+        for r in reads:
+            if self.same[r] is None:
+                self.same[r] = rows[r] == self.row(r)
+            if not self.same[r]:
+                return None
+        self.same[u] = True
+        mu = self.base.mu
+        return (self.row(u),
+                [(k, q) for k in keys if (q := self.image(mu[k]))], record)
+
+    def keep(self, u, row):
+        """Row u as the run computed it, or the base's row object when the
+        parameters are the same and the two are equal."""
+        old = self.base.rows[u]
+        return old if self.identity and row == old else row
+
+
+def compute_kl(sys, params, order, base=None):
     """Compute all P*_{y,w} and all nonzero M^s_{y,w}.
 
     Row u is built from its smallest left descent s by the half-row
@@ -253,15 +346,29 @@ def compute_kl(sys, params, order):
     other half, and the two halves must make up the whole row.  This is
     the same as re-expanding C_u in full through s' and comparing.
     Runtime assertions additionally check that every P*_{y,u} for
-    y < u lies strictly below 1 in the order and that the leading
-    coefficient of C_u is 1; these are the cheapest guards against an
-    invalid order slipping through rank validation.
+    y < u lies strictly below 1 in the order, once per distinct entry,
+    and that the leading coefficient of C_u is 1; these are the cheapest
+    guards against an invalid order slipping through rank validation.
 
     Every stored P* and M polynomial goes through one intern table, so
     equal polynomials are one shared dict; products M * P* are cached by
     the factors' identities in nested dicts, ``products[id(M)][id(P*)]``,
     the shifts v_s^-1 P* per generator by ``id(P*)``; both sign tests
     (the M-candidates, the post-condition) are ``order.all_negative``.
+
+    With a :class:`~klcells.laurent.RecordingOrder` the result keeps
+    ``records = (signs, per_row)``: ``signs`` maps each monomial the run
+    consulted (bit i of a mask: the i-th key) to its sign; ``per_row[u]``
+    is ``(reads, mask, keys)``: the rows read for row u (su per left
+    descent s, y per nonzero M^s_{y,su}), its consulted monomials and its
+    M keys.  With such a ``base``, row u and its M entries are taken from
+    it when every row it read is equal here and every monomial it
+    consulted keeps its sign, so the recursion would take the same
+    branches on the same values.  A base with the same parameters gives
+    its row objects; under a weight run, a base with one variable per
+    class gives its rows and M entries specialized along v_s -> v^L(s),
+    without the zeros a direct run drops.  Taken rows pass the same
+    post-condition; the result equals a run without ``base``.
     """
     validate_params(sys, params, order)
     space = order.space
@@ -285,11 +392,49 @@ def compute_kl(sys, params, order):
     rows = [None] * sys.size
     rows[0] = {0: intern({one: 1})}
     mu = {}
-    all_negative = order.all_negative
+    negative = set()        # ids of entries found below 1 (all kept alive)
+    reuse = None if base is None else _Reuse(base, sys, params, order,
+                                             intern)
+    consulted = getattr(order, "consulted", None)
+    if consulted is not None:
+        records = [None] * sys.size
+        bits = {m: 1 << i for i, m in enumerate(base.records[0])} \
+            if reuse else {}
+
+    def post_condition(u, row):
+        top = row.get(u)
+        if top != {one: 1}:
+            raise KLError(
+                f"leading coefficient of C_{sys.word_text(u)} is "
+                f"not 1: {poly_text(space, top or {}, order)}"
+            )
+        for y, p in row.items():
+            if id(p) not in negative and y != u:
+                if not order.all_negative(p):
+                    raise KLError(
+                        "P*_{%s,%s} = %s has a non-negative monomial;"
+                        " invalid order or implementation fault"
+                        % (sys.word_text(y), sys.word_text(u),
+                           poly_text(space, p, order))
+                    )
+                negative.add(id(p))
+
     for u in range(1, sys.size):
+        taken = reuse and reuse.take(u, rows)
+        if taken:
+            rows[u], mu_items, record = taken
+            post_condition(u, rows[u])
+            mu.update(mu_items)
+            if consulted is not None:
+                records[u] = record
+            continue
+        if consulted is not None:
+            consulted.clear()
         row = None
+        reads, keys = [], []
         for s in sys.left_descents(u):
             left_s = sys.cayley_left[s]
+            w = left_s[u]
             half, mu_local = _half_row(sys, rows, s, u, order, params[s],
                                        lower[s], intern, products)
             if row is None:
@@ -297,31 +442,32 @@ def compute_kl(sys, params, order):
                 for x, p in half.items():
                     row[x] = p = intern(p)
                     row[left_s[x]] = down(p, s)
-                top = row.get(u)
-                if top != {one: 1}:
-                    raise KLError(
-                        f"leading coefficient of C_{sys.word_text(u)} is "
-                        f"not 1: {poly_text(space, top or {}, order)}"
-                    )
-                for y, p in row.items():
-                    if y != u and not all_negative(p):
-                        raise KLError(
-                            "P*_{%s,%s} = %s has a non-negative monomial;"
-                            " invalid order or implementation fault"
-                            % (sys.word_text(y), sys.word_text(u),
-                               poly_text(space, p, order))
-                        )
+                post_condition(u, row)
                 rows[u] = row
             elif 2 * len(half) != len(row) or any(
                     row.get(x) != p
                     or row.get(left_s[x]) is not down(row[x], s)
                     for x, p in half.items()):
                 raise KLError(f"descent choice changed C_{sys.word_text(u)}")
+            reads.append(w)
             for y, m_poly in mu_local.items():
-                mu[(s, y, left_s[u])] = m_poly
+                mu[(s, y, w)] = m_poly
+                keys.append((s, y, w))
+                reads.append(y)
+        if reuse:
+            rows[u] = reuse.keep(u, row)
+        if consulted is not None:
+            for m in consulted.difference(bits):
+                bits[m] = 1 << len(bits)
+            records[u] = (tuple(reads), sum(map(bits.__getitem__, consulted)),
+                          tuple(keys))
 
-    return KLData(sys=sys, space=space, params=params, order=order,
+    data = KLData(sys=sys, space=space, params=params, order=order,
                   rows=rows, mu=mu, v_elem=v_of_element(sys, params, space))
+    if consulted is not None:
+        data.records = ({m: order.sign(m) for m in bits}, records)
+        consulted.clear()
+    return data
 
 
 def automorphic_image(data, perm, elem_map):

@@ -25,13 +25,15 @@ Exact rational arithmetic (fractions.Fraction) throughout; never floats.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+import pickle
+import zlib
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import cells as cells_mod
 from . import kl as kl_mod
 from . import reps as reps_mod
-from .laurent import MonomialOrder, MonomialSpace, lex_order
+from .laurent import MonomialOrder, MonomialSpace, RecordingOrder, lex_order
 
 
 def numerator_coord(sys):
@@ -49,24 +51,6 @@ def class_weights_of(sys, weights):
 
 def weight_from_class_values(sys, class_values):
     return tuple(class_values[sys.class_of_gen[s]] for s in range(sys.rank))
-
-
-def specialize_monomial(space, coord_weights, m):
-    exps = space.unpack(m)
-    return sum(w * e for w, e in zip(coord_weights, exps))
-
-
-def specialize_poly(space, coord_weights, poly):
-    """Push a polynomial along v_s -> v^L(s); returns a rank-1 poly dict."""
-    out = {}
-    for m, c in poly.items():
-        e = specialize_monomial(space, coord_weights, m)
-        v = out.get(e, 0) + c
-        if v:
-            out[e] = v
-        else:
-            del out[e]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +117,7 @@ def check_star(space, coord_weights, monomial_set):
     """True iff the specialization maps every member to v^n with n > 0."""
     violations = []
     for m in monomial_set:
-        if specialize_monomial(space, coord_weights, m) <= 0:
+        if kl_mod.specialize_monomial(space, coord_weights, m) <= 0:
             violations.append(space.unpack(m))
     return not violations, sorted(violations)
 
@@ -232,7 +216,7 @@ def distinguished_involutions(kl_data, left, coord_weights=None):
         if not p:
             continue
         if coord_weights is not None:
-            p = specialize_poly(space, coord_weights, p)
+            p = kl_mod.specialize_poly(space, coord_weights, p)
         top = max(p, key=key)
         delta[w] = inv(top)
         n_of[w] = p[top]
@@ -329,7 +313,7 @@ def specialization_consistency(order_data, weight_data, coord_weights, gamma):
     def sigma(p):
         q = images.get(id(p))
         if q is None:
-            q = images[id(p)] = specialize_poly(space, coord_weights, p)
+            q = images[id(p)] = kl_mod.specialize_poly(space, coord_weights, p)
         return q
 
     for w in range(sys.size):
@@ -433,14 +417,30 @@ def weighted_order(space, class_values, tie_coord):
     return MonomialOrder(space, [tuple(class_values), tuple(tie)])
 
 
-def _exact_regions(sys, chart, swap, ratio):
+def _hint(gamma, data):
+    """What the tasks submitted from a probe's result take from it: its
+    certifying set ``gamma`` and, as bytes, what ``kl.compute_kl`` reads of
+    its run as a base, pickled and compressed; only the workers that run
+    those tasks unpickle it."""
+    return gamma, zlib.compress(pickle.dumps(
+        replace(data, sys=None, order=None, v_elem=None)), 1)
+
+
+def _base(hint):
+    """The base run in a probe's ``hint`` (see :func:`_hint`), or None."""
+    return hint and pickle.loads(zlib.decompress(hint[1]))
+
+
+def _exact_regions(sys, chart, swap, ratio, hint=None):
     """Scan task ``(regions, None, (ratio, ratio))`` at an exact breakpoint:
     its region from a single-variable run, whose params are its weights, and
-    for ratio != 1 with a class swap ``(perm, elem_map)`` its image at 1/ratio.
+    for ratio != 1 with a class swap ``(perm, elem_map)`` its image at
+    1/ratio.  The run takes the rows it can from the tables in ``hint``, of
+    an order probe whose region ends at ``ratio``.
     """
     _, params, order = kl_mod.weight_params(sys, weight_from_class_values(
         sys, ratio_class_values(ratio, numerator_coord(sys))))
-    data = kl_mod.compute_kl(sys, params, order)
+    data = kl_mod.compute_kl(sys, params, order, base=_base(hint))
     found = [(ratio, data)]
     if swap is not None and ratio != 1:
         found.append((1 / ratio, kl_mod.automorphic_image(data, *swap)))
@@ -449,14 +449,16 @@ def _exact_regions(sys, chart, swap, ratio):
             for r, d in found], None, (ratio, ratio)
 
 
-def _open_regions(sys, chart, swap, lo_bound, hi_bound, hint_gamma):
+def _open_regions(sys, chart, swap, lo_bound, hi_bound, hint):
     """One order probe of the open interval (lo_bound, hi_bound), as a
-    scan task: ``(regions, gamma, cover)``, the region it certifies (with
-    a class swap ``(perm, elem_map)`` also its image), its certifying set
-    and the interval it covers.  The top probe (hi_bound None) runs the
-    numerator-dominant pure lexicographic order; any other probe, guided
-    by its parent's set ``hint_gamma``, covers only its ratio rho when
-    rho is critical for its own data.
+    scan task: ``(regions, hint, cover)``, the region it certifies (with
+    a class swap ``(perm, elem_map)`` also its image), the hint of its
+    certifying set and tables for the tasks submitted from it (see
+    :func:`_hint`) and the interval it covers.  The top probe (hi_bound
+    None) runs the numerator-dominant pure lexicographic order; any other
+    probe, guided by its parent's ``hint``, covers only its ratio rho when
+    rho is critical for its own data, and takes the rows it can from its
+    parent's tables.
     """
     num_coord = numerator_coord(sys)
     space, params = kl_mod.class_params(sys)
@@ -487,7 +489,7 @@ def _open_regions(sys, chart, swap, lo_bound, hi_bound, hint_gamma):
     if hi_bound is None:
         order = lex_order(space, (num_coord, 1 - num_coord))
     else:
-        guess = max((c for c in breakpoint_candidates(space, hint_gamma,
+        guess = max((c for c in breakpoint_candidates(space, hint[0],
                                                       num_coord)
                      if lo_bound < c < hi_bound), default=lo_bound)
         rho = _mediant(guess, hi_bound)
@@ -496,13 +498,16 @@ def _open_regions(sys, chart, swap, lo_bound, hi_bound, hint_gamma):
         # tie line, so the choice only fixes the run deterministically
         order = weighted_order(space, ratio_class_values(rho, num_coord),
                                1 - num_coord if rho >= 1 else num_coord)
-    data = kl_mod.compute_kl(sys, params, order)
+    data = kl_mod.compute_kl(sys, params,
+                             RecordingOrder(space, order.functionals),
+                             base=_base(hint))
     gamma, (lo, hi) = certify(data)
+    hint = _hint(gamma, data)
     if hi_bound is None and hi is not None:
         raise ScanError("pure lex region is bounded above; unexpected")
     if hi_bound is not None and not (lo < rho and (hi is None or rho < hi)):
         # rho itself is critical for its own data; split around it
-        return [], gamma, (rho, rho)
+        return [], hint, (rho, rho)
     cover = (max(lo, lo_bound), hi_bound if hi is None else min(hi, hi_bound))
     regions = [accept(*cover, data, gamma, (lo, hi), False)]
     if swap is not None:
@@ -510,7 +515,7 @@ def _open_regions(sys, chart, swap, lo_bound, hi_bound, hint_gamma):
         regions.append(accept(Fraction(0) if cover[1] is None
                               else 1 / cover[1], 1 / cover[0], image,
                               *certify(image), True))
-    return regions, gamma, cover
+    return regions, hint, cover
 
 
 def scan_equivalence_classes(sys, *, chart=None, jobs=1):
@@ -525,9 +530,14 @@ def scan_equivalence_classes(sys, *, chart=None, jobs=1):
     other.  Every run is a task, submitted as soon as it is known: an
     order probe (``_open_regions``) for each interval its parent probe
     left uncovered, an exact run (``_exact_regions``) for each new region
-    end.  This function only tiles, counts runs and merges.  ``jobs`` > 1
-    runs the tasks in a process pool of at most ``os.cpu_count()``
-    workers, 1 runs them in process; the merge is deterministic.
+    end.  Each task takes the rows it can from the tables of the probe
+    whose result submitted it (``kl.compute_kl`` with ``base``): a probe
+    from its parent's, an exact run from those of a probe whose region
+    ends at its ratio.  A probe returns its tables pickled in its hint,
+    and this process hands them on without unpickling them.  This
+    function only tiles, counts runs and merges.  ``jobs`` > 1 runs the
+    tasks in a process pool of at most ``os.cpu_count()`` workers, 1 runs
+    them in process; the merge is deterministic.
     """
     if len(sys.gen_classes) != 2:
         raise ValueError("scan requires exactly two generator classes")
@@ -575,19 +585,20 @@ def scan_equivalence_classes(sys, *, chart=None, jobs=1):
             if not finished:
                 done, _ = wait(pending, return_when=FIRST_COMPLETED)
                 finished += [(pending.pop(f), f.result()) for f in done]
-            interval, (found, gamma, (cover_lo, cover_hi)) = finished.pop()
+            interval, (found, hint, (cover_lo, cover_hi)) = finished.pop()
             regions += found
             # exact runs at the new nonzero finite ends of the regions (an
-            # exact run's ends are breakpoints already)
+            # exact run's ends are breakpoints already, so its hint of None
+            # goes to no task)
             for bp in {end for reg in found for end in (reg.lo, reg.hi)
                        if end} - breakpoints:
                 breakpoints.add(bp)
                 if bp >= bottom and in_range(bp):
-                    submit(_exact_regions, (bp, bp), bp)
+                    submit(_exact_regions, (bp, bp), bp, hint)
             lo_bound, hi_bound = interval
             for lo, hi in ((lo_bound, cover_lo), (cover_hi, hi_bound)):
                 if hi is not None and lo < hi:
-                    submit(_open_regions, (lo, hi), lo, hi, gamma)
+                    submit(_open_regions, (lo, hi), lo, hi, hint)
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)

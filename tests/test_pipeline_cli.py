@@ -586,9 +586,9 @@ def test_scan_main_process_computes_no_table_with_a_pool(tmp_path, capsys,
     calls = []
     compute_kl = kl.compute_kl
 
-    def recorded(*args):
+    def recorded(*args, base=None):
         calls.append(args)
-        return compute_kl(*args)
+        return compute_kl(*args, base=base)
 
     monkeypatch.setattr(kl, "compute_kl", recorded)
     runs, digests = {}, {}

@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 from klcells import cells, cli, kl, pipeline, weights
-from klcells.laurent import MonomialOrder, MonomialSpace, lex_order
+from klcells.laurent import (MonomialOrder, MonomialSpace, RecordingOrder,
+                             lex_order)
 
 from conftest import system
 
@@ -348,7 +349,7 @@ def test_run_bound_ends_a_scan_that_never_converges(tmp_path, capsys,
     first = []
     compute_kl = kl.compute_kl
 
-    def reuse_first(*args):
+    def reuse_first(*args, base=None):
         if not first:
             first.append(compute_kl(*args))
         return first[0]
@@ -372,10 +373,10 @@ def test_failed_run_ends_the_scan_and_its_workers(tmp_path, capsys,
     # does in process: exit 1, the same error line, no scan directory
     compute_kl = kl.compute_kl
 
-    def fail_exact(sys, params, order):
+    def fail_exact(sys, params, order, base=None):
         if order.space.rank == 1:
             raise kl.KLError("injected failure")
-        return compute_kl(sys, params, order)
+        return compute_kl(sys, params, order, base=base)
 
     monkeypatch.setattr(kl, "compute_kl", fail_exact)
     assert cli.main(["scan", "--type", "B4", "--jobs", jobs,
@@ -384,6 +385,144 @@ def test_failed_run_ends_the_scan_and_its_workers(tmp_path, capsys,
         "error: injected failure"]
     assert list(tmp_path.iterdir()) == []
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("name", ["B3", "I2:6", "B4"])
+def test_scan_runs_equal_runs_without_a_base(tmp_path, monkeypatch, name,
+                                             jobs):
+    # every run of the scan, order probe or exact run, is redone without a
+    # base and with a plain order: rows, M-table and the order of the
+    # M-table are equal; each run (in a worker with --jobs 2) appends its
+    # kind, whether it had a base and how many rows it took from it
+    compute_kl, half_row = kl.compute_kl, kl._half_row
+    built = set()
+
+    def building(sys, rows, s, u, *args):
+        built.add(u)
+        return half_row(sys, rows, s, u, *args)
+
+    def compared(sys, params, order, base=None):
+        built.clear()
+        data = compute_kl(sys, params, order, base=base)
+        taken = sys.size - 1 - len(built)
+        plain = compute_kl(sys, params,
+                           MonomialOrder(order.space, order.functionals))
+        assert data.rows == plain.rows
+        assert list(data.mu.items()) == list(plain.mu.items())
+        kind = "exact" if order.space.rank == 1 else "probe"
+        with open(tmp_path / "runs", "a") as fh:
+            fh.write(f"{kind} {int(base is not None)} {taken}\n")
+        return data
+
+    monkeypatch.setattr(kl, "_half_row", building)
+    monkeypatch.setattr(kl, "compute_kl", compared)
+    assert cli.main(["scan", "--type", name, "--jobs", jobs,
+                     "--out", str(tmp_path / "out")]) == 0
+    scan = json.loads((tmp_path / "out" / "scan" / "scan.json").read_text())
+    runs = [(kind, int(based), int(taken)) for kind, based, taken in
+            map(str.split, (tmp_path / "runs").read_text().splitlines())]
+    assert len(runs) == scan["order_runs"]
+    # only the top probe runs without a base, and it takes nothing
+    assert sorted(r for r in runs if not r[1]) == [("probe", 0, 0)]
+    assert {kind for kind, based, _ in runs if based} == (
+        {"exact"} if name == "I2:6" else {"exact", "probe"})
+    assert sum(taken for *_, taken in runs) > 0
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_planted_monomial_in_a_taken_row_ends_the_scan(tmp_path, capsys,
+                                                       monkeypatch, jobs):
+    # a row that an exact run takes from its base passes the post-condition
+    # of a computed row: 1 planted into one of its entries ends the scan,
+    # in a worker with --jobs 2 as in process, with one error line, no
+    # files and no worker left running
+    take = kl._Reuse.take
+
+    def planting(self, u, rows):
+        taken = take(self, u, rows)
+        if taken and not self.identity:
+            row, mu_items, record = taken
+            y = next(y for y in row if y != u)
+            taken = {**row, y: {**row[y], 0: 1}}, mu_items, record
+        return taken
+
+    monkeypatch.setattr(kl._Reuse, "take", planting)
+    assert cli.main(["scan", "--type", "B3", "--jobs", jobs,
+                     "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "has a non-negative monomial" in err[0]
+    assert list(tmp_path.iterdir()) == []
+    assert multiprocessing.active_children() == []
+
+
+def _b3_base_and_run(b3):
+    """A recording B3 run at b/a = 5/4 as base, the order at 5/2, the
+    plain run at 5/2, the bits of the base's monomials whose sign differs
+    at 5/2 and the rows that differ between the two runs."""
+    space, params = kl.class_params(b3)
+    num = weights.numerator_coord(b3)
+
+    def order(ratio, kind):
+        return kind(space, weights.weighted_order(
+            space, weights.ratio_class_values(ratio, num), 1 - num)
+            .functionals)
+
+    base = kl.compute_kl(b3, params, order(Fraction(5, 4), RecordingOrder))
+    new = order(Fraction(5, 2), MonomialOrder)
+    plain = kl.compute_kl(b3, params, new)
+    changed = [1 << i for i, (m, s) in enumerate(base.records[0].items())
+               if new.sign(m) != s]
+    differs = {u for u, row in enumerate(base.rows) if row != plain.rows[u]}
+    return base, new, plain, changed, differs
+
+
+def _with_record(b3, base, new, plain, u, record):
+    """Run at ``new`` from ``base`` with row u's record replaced: "same"
+    as the plain run, "changed" or "caught" by a post-condition."""
+    signs, per_row = base.records
+    per_row = list(per_row)
+    per_row[u] = record
+    try:
+        data = kl.compute_kl(b3, base.params, new,
+                             base=replace(base, records=(signs, per_row)))
+    except kl.KLError:
+        return "caught"
+    same = (data.rows, data.mu) == (plain.rows, plain.mu)
+    return "same" if same else "changed"
+
+
+def test_base_record_without_a_consulted_monomial(b3):
+    # row u of the base differs from the run's, reads only rows equal in
+    # both, and one monomial it consulted changes sign: that monomial
+    # alone keeps the row from being taken
+    base, new, plain, changed, differs = _b3_base_and_run(b3)
+    per_row = base.records[1]
+    u, bit = next((u, bits[0]) for u in sorted(differs - {0})
+                  if not differs & set(per_row[u][0])
+                  and len(bits := [b for b in changed
+                                   if per_row[u][1] & b]) == 1)
+    reads, mask, keys = per_row[u]
+    assert _with_record(b3, base, new, plain, u, per_row[u]) == "same"
+    assert _with_record(b3, base, new, plain, u,
+                        (reads, mask & ~bit, keys)) in ("changed", "caught")
+
+
+def test_base_record_without_a_read_row(b3):
+    # with the changed monomials taken out of its record, row u of the base
+    # is kept from being taken by the one row r it read that differs; the
+    # record without r lets the run take it
+    base, new, plain, changed, differs = _b3_base_and_run(b3)
+    per_row = base.records[1]
+    u, r = next((u, bad.pop()) for u in sorted(differs - {0})
+                if len(bad := differs & set(per_row[u][0])) == 1)
+    reads, mask, keys = per_row[u]
+    mask &= ~sum(changed)
+    assert _with_record(b3, base, new, plain, u,
+                        (reads, mask, keys)) == "same"
+    assert _with_record(b3, base, new, plain, u,
+                        (tuple(x for x in reads if x != r), mask, keys)
+                        ) in ("changed", "caught")
 
 
 def test_asymptotic_class_bound(b3):
