@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import pickle
 import re
 import shutil
 from collections import Counter
@@ -29,7 +30,7 @@ from . import kl as kl_mod
 from . import reps as reps_mod
 from . import weights as weights_mod
 from .coxeter import build_system, parse_type
-from .laurent import MonomialOrder, poly_text
+from .laurent import MonomialOrder, RecordingOrder, poly_text
 
 CHECKS = ("lemmas", "bounds", "bar", "L", "oracle")
 
@@ -103,7 +104,11 @@ def run_pipeline(config, sys=None):
     """Compute and analyse one configuration, then run its checks.
 
     The analysis is ``weights.analyse``, the same path every scan region
-    takes, with the character table of ``chart_for``.
+    takes, with the character table of ``chart_for``.  The cross-check
+    (``_cross_check_weight``) runs in a one-worker process pool from the
+    moment the tables exist, beside the analysis and the other checks;
+    its report is collected after theirs, and the pool is shut down,
+    queued work cancelled, however the run ends.
     """
     if sys is None:
         sys = build_system(config.system)
@@ -116,29 +121,53 @@ def run_pipeline(config, sys=None):
     if "oracle" in checks:      # refuses a large group before any table
         oracle = kl_mod.oracle_kl(sys, params, order)
     data = kl_mod.compute_kl(sys, params, order)
-    found = weights_mod.analyse(data, chart_for(sys))
-    result = RunResult(**vars(found), config=config, kl=data)
-
-    if "lemmas" in checks:
-        result.reports["lemma_p"] = kl_mod.check_lemma_p(data)
-        result.reports["lemma_m"] = kl_mod.check_lemma_m(data)
-    if "bounds" in checks:
-        result.reports["bounds"] = kl_mod.check_bounds(data)
-    if "bar" in checks:
-        result.reports["bar_identity"] = kl_mod.verify_bar_identity_full(data)
-    if "L" in checks:
-        viol = cells_mod.check_property_L(sys, result.left, result.two_sided)
-        rep = kl_mod.CheckReport("property-L", checked=len(result.left))
-        rep.violations = viol
-        result.reports["property_L"] = rep
-    if "oracle" in checks:
-        rep = kl_mod.CheckReport("oracle", checked=sys.size)
-        if not kl_mod.tables_equal(data, oracle):
-            rep.violations.append("tables differ")
-        result.reports["oracle"] = rep
+    pool = None
     if config.cross_check:
-        result.reports["cross_check"] = _cross_check_weight(sys, config, data)
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(1)
+    try:
+        cross = pool and pool.submit(_cross_check_pickled, pickle.dumps(
+            (sys, config, data)))
+        found = weights_mod.analyse(data, chart_for(sys))
+        result = RunResult(**vars(found), config=config, kl=data)
+
+        if "lemmas" in checks:
+            result.reports["lemma_p"] = kl_mod.check_lemma_p(data)
+            result.reports["lemma_m"] = kl_mod.check_lemma_m(data)
+        if "bounds" in checks:
+            result.reports["bounds"] = kl_mod.check_bounds(data)
+        if "bar" in checks:
+            result.reports["bar_identity"] = \
+                kl_mod.verify_bar_identity_full(data)
+        if "L" in checks:
+            viol = cells_mod.check_property_L(sys, result.left,
+                                              result.two_sided)
+            rep = kl_mod.CheckReport("property-L", checked=len(result.left))
+            rep.violations = viol
+            result.reports["property_L"] = rep
+        if "oracle" in checks:
+            rep = kl_mod.CheckReport("oracle", checked=sys.size)
+            if not kl_mod.tables_equal(data, oracle):
+                rep.violations.append("tables differ")
+            result.reports["oracle"] = rep
+        if cross:
+            result.reports["cross_check"] = cross.result()
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     return result
+
+
+def _cross_check_pickled(blob):
+    """``_cross_check_weight`` of the pickled ``(sys, config, data)``.
+
+    The pool pickles a task's arguments in a thread of its own, while
+    this process goes on to fill the caches of the same system and order
+    (``analyse`` stores the conjugacy classes on the system); pickled by
+    the submitting thread, the arguments are a snapshot.
+    """
+    return _cross_check_weight(*pickle.loads(blob))
 
 
 def _cross_check_weight(sys, config, weight_data):
@@ -146,9 +175,12 @@ def _cross_check_weight(sys, config, weight_data):
 
     Builds the weighted order with the weight's own functional and each
     tiebreak in turn; whenever the star condition certifies the
-    specialization, the tables must agree entrywise.  A cross-check
-    that certifies no order compared nothing and is reported as
-    inconclusive, not as a pass.
+    specialization, the tables must agree entrywise.  The two order runs
+    have the same parameters, so the tie-1 run takes the rows it can from
+    the tie-0 run (``kl.compute_kl`` with ``base``); neither takes rows
+    from the weight run, which they check.  A cross-check that certifies
+    no order compared nothing and is reported as inconclusive, not as a
+    pass.
     """
     report = kl_mod.CheckReport("weight-vs-order cross-check")
     if config.weight is None or len(sys.gen_classes) != 2:
@@ -158,10 +190,12 @@ def _cross_check_weight(sys, config, weight_data):
         return report
     cw = weights_mod.class_weights_of(sys, config.weight)
     space, params = kl_mod.class_params(sys)
+    first = kl_mod.compute_kl(sys, params, RecordingOrder(
+        space, weights_mod.weighted_order(space, cw, 0).functionals))
+    second = kl_mod.compute_kl(sys, params, weights_mod.weighted_order(
+        space, cw, 1), base=first)
     certified = 0
-    for tie_coord in (0, 1):
-        order = weights_mod.weighted_order(space, cw, tie_coord)
-        odata = kl_mod.compute_kl(sys, params, order)
+    for odata in (first, second):
         gamma = weights_mod.gamma_plus_W(odata)
         ok, _ = weights_mod.check_star(space, cw, gamma)
         if not ok:

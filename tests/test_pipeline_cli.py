@@ -1,14 +1,17 @@
 import hashlib
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from klcells import cells, cli, kl, pipeline, reps, weights
+from klcells.laurent import MonomialOrder
 
 from conftest import system
 
@@ -75,6 +78,46 @@ def test_cross_check_flag(b3):
     rep = res.reports["cross_check"]
     assert rep.ok
     assert rep.notes["certified_orders"] >= 1
+
+
+@pytest.mark.parametrize("name, weight, taken", [
+    ("B3", (3, 1, 1), 47), ("B4", (5, 2, 2, 2), 383),
+    ("B4", (2, 1, 1, 1), 203)])
+def test_cross_check_second_order_equals_a_run_without_a_base(
+        monkeypatch, name, weight, taken):
+    # the tie-1 order run takes rows from the tie-0 run and equals a run
+    # without a base: rows, M-table and the order of the M-table; inside
+    # a region it takes every row (of 47 and 383), at the breakpoint
+    # b/a = 1/2 it recomputes 180
+    group = system(name)
+    compute_kl, half_row = kl.compute_kl, kl._half_row
+    built, runs = set(), []
+
+    def building(sys, rows, s, u, *args):
+        built.add(u)
+        return half_row(sys, rows, s, u, *args)
+
+    def compared(sys, params, order, base=None):
+        built.clear()
+        data = compute_kl(sys, params, order, base=base)
+        runs.append((base is not None, sys.size - 1 - len(built)))
+        if base is not None:    # an equal row is the base's row object
+            assert all((r is b) == (r == b)
+                       for r, b in zip(data.rows[1:], base.rows[1:]))
+        plain = compute_kl(sys, params,
+                           MonomialOrder(order.space, order.functionals))
+        assert data.rows == plain.rows
+        assert list(data.mu.items()) == list(plain.mu.items())
+        return data
+
+    cfg = pipeline.RunConfig(system=name, weight=weight, checks=(),
+                             cross_check=True)
+    _, params, order = kl.weight_params(group, weight)
+    weight_data = kl.compute_kl(group, params, order)
+    monkeypatch.setattr(kl, "_half_row", building)
+    monkeypatch.setattr(kl, "compute_kl", compared)
+    pipeline._cross_check_weight(group, cfg, weight_data)
+    assert runs == [(False, 0), (True, taken)]
 
 
 def test_cli_compute_and_dump(tmp_path, capsys):
@@ -639,3 +682,63 @@ def test_cross_check_without_certified_order_is_inconclusive(tmp_path,
                      "--cross-check", "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert "cached" in out and "inconclusive: no order certified" in out
+
+
+def test_failed_cross_check_ends_the_compute_and_its_worker(tmp_path, capsys,
+                                                            monkeypatch):
+    # a KLError in an order run of the cross-check, raised in its worker,
+    # ends the compute as any failed post-condition does: exit 1, one
+    # error line, no archive entry, no process left
+    compute_kl = kl.compute_kl
+
+    def fail_order(sys, params, order, base=None):
+        if order.space.rank == 2:
+            raise kl.KLError("injected failure")
+        return compute_kl(sys, params, order, base=base)
+
+    monkeypatch.setattr(kl, "compute_kl", fail_order)
+    assert cli.main(["compute", "--type", "B3", "--weight", "3,1,1",
+                     "--cross-check", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: injected failure"]
+    assert list(tmp_path.iterdir()) == []
+    assert multiprocessing.active_children() == []
+
+
+def test_failed_check_beside_the_cross_check_leaves_no_worker(tmp_path,
+                                                              capsys,
+                                                              monkeypatch):
+    # a check of this process fails while the cross-check's worker is
+    # still in its (slowed) order runs: exit 1, and the pool is shut down
+    compute_kl = kl.compute_kl
+
+    def slow_order(sys, params, order, base=None):
+        if order.space.rank == 2:
+            time.sleep(0.2)
+        return compute_kl(sys, params, order, base=base)
+
+    def fail(*args):
+        raise kl.KLError("injected failure")
+
+    monkeypatch.setattr(kl, "compute_kl", slow_order)
+    monkeypatch.setattr(kl, "check_bounds", fail)
+    assert cli.main(["compute", "--type", "B3", "--weight", "3,1,1",
+                     "--cross-check", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: injected failure"]
+    assert list(tmp_path.iterdir()) == []
+    assert multiprocessing.active_children() == []
+
+
+def test_cross_check_violation_exits_1(tmp_path, capsys, monkeypatch):
+    # a violation found in the worker reaches the report and the exit code
+    def violated(*args):
+        return kl.CheckReport("specialization-consistency", checked=1,
+                              violations=[("P-row", "injected")])
+
+    monkeypatch.setattr(weights, "specialization_consistency", violated)
+    assert cli.main(["compute", "--type", "B3", "--weight", "3,1,1",
+                     "--cross-check", "--out", str(tmp_path)]) == 1
+    assert "check [weight-vs-order cross-check] 2 checked, " \
+           "2 violation(s)" in capsys.readouterr().out
+    assert multiprocessing.active_children() == []
