@@ -35,10 +35,11 @@ polynomials must therefore never be mutated in place.  Checks that
 memoise by ``id`` stay correct on tables that were never interned,
 because every keyed object is kept alive by the table itself.
 
-Row u depends only on the rows it reads and on the signs of the
-monomials consulted for it: the scan's certifying-set argument, one row
-at a time.  So a run may take rows from an earlier run whose records
-allow it (``compute_kl`` with ``base``).
+By the uniqueness of C_u, a row of an earlier run (or its image under
+a specialization, which commutes with bar) whose entries all lie below
+1 in this run's order is C_u here; where the rows it read are equal as
+well, so are its M entries.  So a run may take such rows from an
+earlier run (``compute_kl`` with ``base``).
 """
 
 from __future__ import annotations
@@ -108,6 +109,12 @@ def weight_params(sys, weights):
     return space, tuple(weights), order
 
 
+def class_weights_of(sys, weights):
+    """Per-class values of a weight function constant on generator
+    classes (as ``weight_params`` checks), indexed by class."""
+    return tuple(weights[cl[0]] for cl in sys.gen_classes)
+
+
 def specialize_monomial(space, coord_weights, m):
     exps = space.unpack(m)
     return sum(w * e for w, e in zip(coord_weights, exps))
@@ -160,7 +167,6 @@ class KLData:
     rows: list            # rows[w]: dict y -> P*_{y,w} (includes y=w -> 1)
     mu: dict              # (s, y, w) -> nonzero bar-invariant polynomial
     v_elem: list = None   # v_w per element
-    records: tuple = None  # of a recording run, see compute_kl
 
     def mu_by_sw(self):
         """Index (s, w) -> list of (y, M^s_{y,w}) pairs, sorted by y."""
@@ -266,25 +272,22 @@ class _Reuse:
     """What a run may take from its base run (see :func:`compute_kl`).
 
     ``image`` carries a base polynomial into the run (interned, memoised
-    by ``id``), ``changed`` has the bit of each recorded monomial whose
-    image changed sign, and ``same[x]`` says whether row x equals the
-    image of the base's row x (None: not compared yet).
+    by ``id``), ``keys[u]`` lists the base's M keys (s, y, su) of row u in
+    the base's order, ``same[x]`` says whether row x equals the image of
+    the base's row x (None: not compared yet), and ``non_negative`` is the
+    run's post-condition test: the first y != u whose entry of row u is
+    not below 1, or None.
     """
 
-    def __init__(self, base, sys, params, order, intern):
-        if base.records is None:
-            raise ValueError("the base run kept no records")
-        self.base = base
-        signs, self.records = base.records
+    def __init__(self, base, sys, params, order, intern, non_negative):
+        self.base, self.sys, self.non_negative = base, sys, non_negative
         self.identity = tuple(params) == base.params
-        mono = self.image = lambda p: p     # same parameters: as they are
+        self.image = lambda p: p     # same parameters: as they are
         if not self.identity:
-            if (order.space.rank != 1 or hasattr(order, "consulted")
-                    or base.params != class_params(sys)[1]):
+            if order.space.rank != 1 or base.params != class_params(sys)[1]:
                 raise ValueError("a base run needs the same parameters, or "
                                  "one variable per class for a weight run")
-            cw = tuple(params[cl[0]] for cl in sys.gen_classes)
-            mono = lambda m: specialize_monomial(base.space, cw, m)
+            cw = class_weights_of(sys, params)
             images = {}
 
             def image(p):
@@ -294,8 +297,9 @@ class _Reuse:
                         specialize_poly(base.space, cw, p))
                 return q
             self.image = image
-        self.changed = sum(1 << i for i, (m, s) in enumerate(signs.items())
-                           if order.sign(mono(m)) != s)
+        self.keys = [[] for _ in range(sys.size)]
+        for k in base.mu:
+            self.keys[sys.cayley_left[k[0]][k[2]]].append(k)
         self.same = [True] + [None] * (sys.size - 1)
 
     def row(self, u):
@@ -308,21 +312,22 @@ class _Reuse:
         return {y: q for y, p in row.items() if (q := image(p))}
 
     def take(self, u, rows):
-        """``(row, M items, record)`` of row u from the base, or None when
-        a monomial it consulted changed sign or a row it read differs."""
-        record = self.records[u]
-        reads, mask, keys = record
-        if mask & self.changed:
-            return None
-        for r in reads:
+        """``(row, M items)`` of row u from the base, or None when a row it
+        read differs here (su for each left descent s, y for each nonzero
+        M^s_{y,su}) or an entry of it is not below 1 in the run's order."""
+        sys, keys = self.sys, self.keys[u]
+        for r in chain((sys.cayley_left[s][u] for s in sys.left_descents(u)),
+                       (y for _, y, _ in keys)):
             if self.same[r] is None:
                 self.same[r] = rows[r] == self.row(r)
             if not self.same[r]:
                 return None
+        row = self.row(u)
+        if self.non_negative(u, row) is not None:
+            return None
         self.same[u] = True
         mu = self.base.mu
-        return (self.row(u),
-                [(k, q) for k in keys if (q := self.image(mu[k]))], record)
+        return row, [(k, q) for k in keys if (q := self.image(mu[k]))]
 
     def keep(self, u, row):
         """Row u as the run computed it, or the base's row object when the
@@ -356,18 +361,17 @@ def compute_kl(sys, params, order, base=None):
     the shifts v_s^-1 P* per generator by ``id(P*)``; both sign tests
     (the M-candidates, the post-condition) are ``order.all_negative``.
 
-    With a :class:`~klcells.laurent.RecordingOrder` the result keeps
-    ``records = (signs, per_row)``: ``signs`` maps each monomial the run
-    consulted (bit i of a mask: the i-th key) to its sign; ``per_row[u]``
-    is ``(reads, mask, keys)``: the rows read for row u (su per left
-    descent s, y per nonzero M^s_{y,su}), its consulted monomials and its
-    M keys.  With such a ``base``, row u and its M entries are taken from
-    it when every row it read is equal here and every monomial it
-    consulted keeps its sign, so the recursion would take the same
-    branches on the same values.  A base with the same parameters gives
-    its row objects; under a weight run, a base with one variable per
-    class gives its rows and M entries specialized along v_s -> v^L(s),
-    without the zeros a direct run drops.  Taken rows pass the same
+    With a ``base``, any earlier result for the same system, row u and
+    its M entries are taken from it when every row it read is equal here
+    (su for each left descent s, y for each nonzero M^s_{y,su}) and every
+    entry of it off the diagonal lies below 1 in this order, the
+    post-condition's test.  The base row is bar-invariant, so by the
+    uniqueness of the canonical basis it is C_u here; the C_y form a
+    basis, so the M entries of (T_s + v_s^-1) C_{su} - C_u are the
+    base's too.  A base with the same parameters gives its row objects;
+    under a weight run, a base with one variable per class gives its rows
+    and M entries specialized along v_s -> v^L(s), which commutes with
+    bar, without the zeros a direct run drops.  Taken rows pass the same
     post-condition; the result equals a run without ``base``.
     """
     validate_params(sys, params, order)
@@ -393,13 +397,15 @@ def compute_kl(sys, params, order, base=None):
     rows[0] = {0: intern({one: 1})}
     mu = {}
     negative = set()        # ids of entries found below 1 (all kept alive)
-    reuse = None if base is None else _Reuse(base, sys, params, order,
-                                             intern)
-    consulted = getattr(order, "consulted", None)
-    if consulted is not None:
-        records = [None] * sys.size
-        bits = {m: 1 << i for i, m in enumerate(base.records[0])} \
-            if reuse else {}
+
+    def non_negative(u, row):
+        """The first y != u whose P*_{y,u} is not below 1, or None."""
+        for y, p in row.items():
+            if id(p) not in negative and y != u:
+                if not order.all_negative(p):
+                    return y
+                negative.add(id(p))
+        return None
 
     def post_condition(u, row):
         top = row.get(u)
@@ -408,30 +414,25 @@ def compute_kl(sys, params, order, base=None):
                 f"leading coefficient of C_{sys.word_text(u)} is "
                 f"not 1: {poly_text(space, top or {}, order)}"
             )
-        for y, p in row.items():
-            if id(p) not in negative and y != u:
-                if not order.all_negative(p):
-                    raise KLError(
-                        "P*_{%s,%s} = %s has a non-negative monomial;"
-                        " invalid order or implementation fault"
-                        % (sys.word_text(y), sys.word_text(u),
-                           poly_text(space, p, order))
-                    )
-                negative.add(id(p))
+        y = non_negative(u, row)
+        if y is not None:
+            raise KLError(
+                "P*_{%s,%s} = %s has a non-negative monomial;"
+                " invalid order or implementation fault"
+                % (sys.word_text(y), sys.word_text(u),
+                   poly_text(space, row[y], order))
+            )
 
+    reuse = None if base is None else _Reuse(base, sys, params, order,
+                                             intern, non_negative)
     for u in range(1, sys.size):
         taken = reuse and reuse.take(u, rows)
         if taken:
-            rows[u], mu_items, record = taken
+            rows[u], mu_items = taken
             post_condition(u, rows[u])
             mu.update(mu_items)
-            if consulted is not None:
-                records[u] = record
             continue
-        if consulted is not None:
-            consulted.clear()
         row = None
-        reads, keys = [], []
         for s in sys.left_descents(u):
             left_s = sys.cayley_left[s]
             w = left_s[u]
@@ -449,25 +450,13 @@ def compute_kl(sys, params, order, base=None):
                     or row.get(left_s[x]) is not down(row[x], s)
                     for x, p in half.items()):
                 raise KLError(f"descent choice changed C_{sys.word_text(u)}")
-            reads.append(w)
             for y, m_poly in mu_local.items():
                 mu[(s, y, w)] = m_poly
-                keys.append((s, y, w))
-                reads.append(y)
         if reuse:
             rows[u] = reuse.keep(u, row)
-        if consulted is not None:
-            for m in consulted.difference(bits):
-                bits[m] = 1 << len(bits)
-            records[u] = (tuple(reads), sum(map(bits.__getitem__, consulted)),
-                          tuple(keys))
 
-    data = KLData(sys=sys, space=space, params=params, order=order,
+    return KLData(sys=sys, space=space, params=params, order=order,
                   rows=rows, mu=mu, v_elem=v_of_element(sys, params, space))
-    if consulted is not None:
-        data.records = ({m: order.sign(m) for m in bits}, records)
-        consulted.clear()
-    return data
 
 
 def automorphic_image(data, perm, elem_map):

@@ -132,26 +132,6 @@ class MonomialOrder:
         return f"MonomialOrder({list(self.functionals)})"
 
 
-class RecordingOrder(MonomialOrder):
-    """A MonomialOrder that also adds to the set ``consulted`` every
-    monomial whose sign it is asked for, memo hits included: what a table
-    run read of the order (see ``kl.compute_kl``)."""
-
-    def __init__(self, space, functionals):
-        super().__init__(space, functionals)
-        self.consulted = set()
-
-    def sign(self, m):
-        self.consulted.add(m)
-        return MonomialOrder.sign(self, m)
-
-    def all_negative(self, p):
-        if p.keys() <= self.negatives:
-            self.consulted.update(p)
-            return True
-        return all(self.sign(m) < 0 for m in p)
-
-
 def _matrix_rank(rows):
     """Rank over Q of an integer matrix given as a tuple of rows."""
     mat = [[Fraction(c) for c in row] for row in rows]

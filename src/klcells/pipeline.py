@@ -30,7 +30,7 @@ from . import kl as kl_mod
 from . import reps as reps_mod
 from . import weights as weights_mod
 from .coxeter import build_system, parse_type
-from .laurent import MonomialOrder, RecordingOrder, poly_text
+from .laurent import MonomialOrder, poly_text
 
 CHECKS = ("lemmas", "bounds", "bar", "L", "oracle")
 
@@ -190,8 +190,8 @@ def _cross_check_weight(sys, config, weight_data):
         return report
     cw = weights_mod.class_weights_of(sys, config.weight)
     space, params = kl_mod.class_params(sys)
-    first = kl_mod.compute_kl(sys, params, RecordingOrder(
-        space, weights_mod.weighted_order(space, cw, 0).functionals))
+    first = kl_mod.compute_kl(sys, params,
+                              weights_mod.weighted_order(space, cw, 0))
     second = kl_mod.compute_kl(sys, params, weights_mod.weighted_order(
         space, cw, 1), base=first)
     certified = 0

@@ -33,7 +33,8 @@ from fractions import Fraction
 from . import cells as cells_mod
 from . import kl as kl_mod
 from . import reps as reps_mod
-from .laurent import MonomialOrder, MonomialSpace, RecordingOrder, lex_order
+from .kl import class_weights_of
+from .laurent import MonomialOrder, MonomialSpace, lex_order
 
 
 def numerator_coord(sys):
@@ -41,12 +42,6 @@ def numerator_coord(sys):
     ``numerator_gen``, else of the last generator."""
     num_gen = sys.spec.numerator_gen
     return sys.class_of_gen[sys.rank - 1 if num_gen is None else num_gen]
-
-
-def class_weights_of(sys, weights):
-    """Per-class values of a weight function constant on generator
-    classes (as ``kl.weight_params`` checks), indexed by class."""
-    return tuple(weights[cl[0]] for cl in sys.gen_classes)
 
 
 def weight_from_class_values(sys, class_values):
@@ -419,9 +414,9 @@ def weighted_order(space, class_values, tie_coord):
 
 def _hint(gamma, data):
     """What the tasks submitted from a probe's result take from it: its
-    certifying set ``gamma`` and, as bytes, what ``kl.compute_kl`` reads of
-    its run as a base, pickled and compressed; only the workers that run
-    those tasks unpickle it."""
+    certifying set ``gamma`` and, as bytes, its tables (rows, M-table and
+    parameters: what ``kl.compute_kl`` reads of a base), pickled and
+    compressed; only the workers that run those tasks unpickle them."""
     return gamma, zlib.compress(pickle.dumps(
         replace(data, sys=None, order=None, v_elem=None)), 1)
 
@@ -498,9 +493,7 @@ def _open_regions(sys, chart, swap, lo_bound, hi_bound, hint):
         # tie line, so the choice only fixes the run deterministically
         order = weighted_order(space, ratio_class_values(rho, num_coord),
                                1 - num_coord if rho >= 1 else num_coord)
-    data = kl_mod.compute_kl(sys, params,
-                             RecordingOrder(space, order.functionals),
-                             base=_base(hint))
+    data = kl_mod.compute_kl(sys, params, order, base=_base(hint))
     gamma, (lo, hi) = certify(data)
     hint = _hint(gamma, data)
     if hi_bound is None and hi is not None:
@@ -533,11 +526,13 @@ def scan_equivalence_classes(sys, *, chart=None, jobs=1):
     end.  Each task takes the rows it can from the tables of the probe
     whose result submitted it (``kl.compute_kl`` with ``base``): a probe
     from its parent's, an exact run from those of a probe whose region
-    ends at its ratio.  A probe returns its tables pickled in its hint,
-    and this process hands them on without unpickling them.  This
-    function only tiles, counts runs and merges.  ``jobs`` > 1 runs the
-    tasks in a process pool of at most ``os.cpu_count()`` workers, 1 runs
-    them in process; the merge is deterministic.
+    ends at its ratio.  A row is taken when the rows it read are equal and
+    its entries lie below 1 in the task's order.  A probe returns its
+    tables pickled in its hint, and this process hands them on without
+    unpickling them.  This function only tiles, counts runs and merges.
+    ``jobs`` > 1 runs the tasks in a process pool of at most
+    ``os.cpu_count()`` workers, 1 runs them in process; the merge is
+    deterministic.
     """
     if len(sys.gen_classes) != 2:
         raise ValueError("scan requires exactly two generator classes")

@@ -7,8 +7,7 @@ from fractions import Fraction
 import pytest
 
 from klcells import cells, cli, kl, pipeline, weights
-from klcells.laurent import (MonomialOrder, MonomialSpace, RecordingOrder,
-                             lex_order)
+from klcells.laurent import MonomialOrder, MonomialSpace, lex_order
 
 from conftest import system
 
@@ -442,9 +441,9 @@ def test_planted_monomial_in_a_taken_row_ends_the_scan(tmp_path, capsys,
     def planting(self, u, rows):
         taken = take(self, u, rows)
         if taken and not self.identity:
-            row, mu_items, record = taken
+            row, mu_items = taken
             y = next(y for y in row if y != u)
-            taken = {**row, y: {**row[y], 0: 1}}, mu_items, record
+            taken = {**row, y: {**row[y], 0: 1}}, mu_items
         return taken
 
     monkeypatch.setattr(kl._Reuse, "take", planting)
@@ -456,73 +455,92 @@ def test_planted_monomial_in_a_taken_row_ends_the_scan(tmp_path, capsys,
     assert multiprocessing.active_children() == []
 
 
-def _b3_base_and_run(b3):
-    """A recording B3 run at b/a = 5/4 as base, the order at 5/2, the
-    plain run at 5/2, the bits of the base's monomials whose sign differs
-    at 5/2 and the rows that differ between the two runs."""
-    space, params = kl.class_params(b3)
-    num = weights.numerator_coord(b3)
+def _base_and_run(sys, base_ratio, ratio):
+    """A run at b/a = ``base_ratio`` as base, the order at ``ratio`` and
+    the run there without a base."""
+    space, params = kl.class_params(sys)
+    num = weights.numerator_coord(sys)
 
-    def order(ratio, kind):
-        return kind(space, weights.weighted_order(
-            space, weights.ratio_class_values(ratio, num), 1 - num)
-            .functionals)
+    def order(r):
+        return weights.weighted_order(
+            space, weights.ratio_class_values(r, num), 1 - num)
 
-    base = kl.compute_kl(b3, params, order(Fraction(5, 4), RecordingOrder))
-    new = order(Fraction(5, 2), MonomialOrder)
-    plain = kl.compute_kl(b3, params, new)
-    changed = [1 << i for i, (m, s) in enumerate(base.records[0].items())
-               if new.sign(m) != s]
-    differs = {u for u, row in enumerate(base.rows) if row != plain.rows[u]}
-    return base, new, plain, changed, differs
+    new = order(ratio)
+    return (kl.compute_kl(sys, params, order(base_ratio)), new,
+            kl.compute_kl(sys, params, new))
 
 
-def _with_record(b3, base, new, plain, u, record):
-    """Run at ``new`` from ``base`` with row u's record replaced: "same"
-    as the plain run, "changed" or "caught" by a post-condition."""
-    signs, per_row = base.records
-    per_row = list(per_row)
-    per_row[u] = record
-    try:
-        data = kl.compute_kl(b3, base.params, new,
-                             base=replace(base, records=(signs, per_row)))
-    except kl.KLError:
-        return "caught"
-    same = (data.rows, data.mu) == (plain.rows, plain.mu)
-    return "same" if same else "changed"
+def _below_one(order, row, u):
+    return all(order.all_negative(p) for y, p in row.items() if y != u)
 
 
-def test_base_record_without_a_consulted_monomial(b3):
-    # row u of the base differs from the run's, reads only rows equal in
-    # both, and one monomial it consulted changes sign: that monomial
-    # alone keeps the row from being taken
-    base, new, plain, changed, differs = _b3_base_and_run(b3)
-    per_row = base.records[1]
-    u, bit = next((u, bits[0]) for u in sorted(differs - {0})
-                  if not differs & set(per_row[u][0])
-                  and len(bits := [b for b in changed
-                                   if per_row[u][1] & b]) == 1)
-    reads, mask, keys = per_row[u]
-    assert _with_record(b3, base, new, plain, u, per_row[u]) == "same"
-    assert _with_record(b3, base, new, plain, u,
-                        (reads, mask & ~bit, keys)) in ("changed", "caught")
+@pytest.mark.parametrize("name, base_ratio, ratio, rows", [
+    ("B3", Fraction(5, 4), Fraction(5, 2), 41),
+    ("B4", Fraction(5, 2), Fraction(7, 4), 278)], ids=["B3", "B4"])
+def test_base_rows_below_one_are_the_canonical_basis(name, base_ratio, ratio,
+                                                     rows):
+    # a base row is bar-invariant, so by uniqueness every base row whose
+    # entries off the diagonal all lie below 1 in the new order is the new
+    # run's row, whatever the rows it read
+    sys = system(name)
+    base, new, plain = _base_and_run(sys, base_ratio, ratio)
+    below = [u for u in range(1, sys.size) if _below_one(new, base.rows[u], u)]
+    assert len(below) == rows
+    assert [u for u in below if base.rows[u] != plain.rows[u]] == []
 
 
-def test_base_record_without_a_read_row(b3):
-    # with the changed monomials taken out of its record, row u of the base
-    # is kept from being taken by the one row r it read that differs; the
-    # record without r lets the run take it
-    base, new, plain, changed, differs = _b3_base_and_run(b3)
-    per_row = base.records[1]
-    u, r = next((u, bad.pop()) for u in sorted(differs - {0})
-                if len(bad := differs & set(per_row[u][0])) == 1)
-    reads, mask, keys = per_row[u]
-    mask &= ~sum(changed)
-    assert _with_record(b3, base, new, plain, u,
-                        (reads, mask, keys)) == "same"
-    assert _with_record(b3, base, new, plain, u,
-                        (tuple(x for x in reads if x != r), mask, keys)
-                        ) in ("changed", "caught")
+def test_rows_with_an_entry_above_one_are_rebuilt(b3, monkeypatch):
+    # 4 rows of the B3 base at b/a = 5/4 read only rows that are equal at
+    # 5/2 (su for each left descent s, y for each nonzero M^s_{y,su}) but
+    # have an entry not below 1 there: the run builds them itself and
+    # equals the run without a base
+    base, new, plain = _base_and_run(b3, Fraction(5, 4), Fraction(5, 2))
+
+    def reads(u):
+        sus = [b3.cayley_left[s][u] for s in b3.left_descents(u)]
+        return sus + [y for s, y, w in base.mu
+                      if w in sus and b3.cayley_left[s][w] == u]
+
+    gated = [u for u in range(1, b3.size)
+             if all(base.rows[r] == plain.rows[r] for r in reads(u))
+             and not _below_one(new, base.rows[u], u)]
+    assert len(gated) == 4
+    half_row, built = kl._half_row, set()
+
+    def building(sys, rows, s, u, *args):
+        built.add(u)
+        return half_row(sys, rows, s, u, *args)
+
+    monkeypatch.setattr(kl, "_half_row", building)
+    data = kl.compute_kl(b3, base.params, new, base=base)
+    assert set(gated) <= built
+    assert data.rows == plain.rows
+    assert list(data.mu.items()) == list(plain.mu.items())
+
+
+def test_taken_rows_read_their_m_support(b4, monkeypatch):
+    # from b/a = 7/2 to 5/2 on B4, a take that reads only su for each left
+    # descent s, and not the y of each nonzero M^s_{y,su}, gets rows equal
+    # to the run without a base but 8 wrong M entries
+    base, new, plain = _base_and_run(b4, Fraction(7, 2), Fraction(5, 2))
+
+    def wrong_mu():
+        data = kl.compute_kl(b4, base.params, new, base=base)
+        assert data.rows == plain.rows
+        return sum(data.mu.get(k) != plain.mu.get(k)
+                   for k in data.mu.keys() | plain.mu.keys())
+
+    assert wrong_mu() == 0
+    take = kl._Reuse.take
+
+    def su_only(self, u, rows):
+        keys, self.keys[u] = self.keys[u], []
+        taken = take(self, u, rows)
+        self.keys[u] = keys
+        return taken and (taken[0], [(k, self.base.mu[k]) for k in keys])
+
+    monkeypatch.setattr(kl._Reuse, "take", su_only)
+    assert wrong_mu() == 8
 
 
 def test_asymptotic_class_bound(b3):
