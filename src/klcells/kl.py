@@ -35,11 +35,11 @@ polynomials must therefore never be mutated in place.  Checks that
 memoise by ``id`` stay correct on tables that were never interned,
 because every keyed object is kept alive by the table itself.
 
-By the uniqueness of C_u, a row of an earlier run (or its image under
-a specialization, which commutes with bar) whose entries all lie below
-1 in this run's order is C_u here; where the rows it read are equal as
-well, so are its M entries.  So a run may take such rows from an
-earlier run (``compute_kl`` with ``base``).
+A specialization v_s -> v^L(s) commutes with bar (``specialized`` maps
+whole tables), so by the uniqueness of C_u a row of an earlier run, or
+of its image, whose entries all lie below 1 in this run's order is C_u
+here; where the rows it read are equal as well, so are its M entries,
+and a run may take the row (``compute_kl`` with ``base``).
 """
 
 from __future__ import annotations
@@ -131,6 +131,29 @@ def specialize_poly(space, coord_weights, poly):
         else:
             del out[e]
     return out
+
+
+def specialized(data, coord_weights, intern=lambda p: p):
+    """The image of the tables of ``data`` along v_s -> v^L(s), with L
+    given per class by ``coord_weights``: a :class:`KLData` over one
+    variable, without ``v_elem``.  Each distinct polynomial object is
+    mapped once and passed through ``intern``; entries that map to 0 are
+    left out of the rows and of the M-table."""
+    space, one = data.space, MonomialSpace(1)
+    images = {}
+
+    def image(p):
+        if id(p) not in images:
+            images[id(p)] = intern(specialize_poly(space, coord_weights, p))
+        return images[id(p)]
+
+    return KLData(
+        data.sys, one, tuple(specialize_monomial(space, coord_weights, v)
+                             for v in data.params),
+        MonomialOrder(one, [(1,)]),
+        [{y: q for y, p in row.items() if (q := image(p))}
+         for row in data.rows],
+        {k: q for k, m in data.mu.items() if (q := image(m))})
 
 
 def validate_params(sys, params, order):
@@ -269,71 +292,38 @@ def _interner():
 
 
 class _Reuse:
-    """What a run may take from its base run (see :func:`compute_kl`).
+    """What a run may take from its base run, whose parameters are the
+    run's (see :func:`compute_kl`).
 
-    ``image`` carries a base polynomial into the run (interned, memoised
-    by ``id``), ``keys[u]`` lists the base's M keys (s, y, su) of row u in
-    the base's order, ``same[x]`` says whether row x equals the image of
-    the base's row x (None: not compared yet), and ``non_negative`` is the
-    run's post-condition test: the first y != u whose entry of row u is
-    not below 1, or None.
+    ``keys[u]`` lists the base's M keys (s, y, su) of row u in the base's
+    order, ``same[x]`` says whether row x equals the base's row x (None:
+    not compared yet), and ``non_negative`` is the run's post-condition
+    test: the first y != u whose entry of row u is not below 1, or None.
     """
 
-    def __init__(self, base, sys, params, order, intern, non_negative):
+    def __init__(self, base, sys, non_negative):
         self.base, self.sys, self.non_negative = base, sys, non_negative
-        self.identity = tuple(params) == base.params
-        self.image = lambda p: p     # same parameters: as they are
-        if not self.identity:
-            if order.space.rank != 1 or base.params != class_params(sys)[1]:
-                raise ValueError("a base run needs the same parameters, or "
-                                 "one variable per class for a weight run")
-            cw = class_weights_of(sys, params)
-            images = {}
-
-            def image(p):
-                q = images.get(id(p))
-                if q is None:
-                    q = images[id(p)] = intern(
-                        specialize_poly(base.space, cw, p))
-                return q
-            self.image = image
         self.keys = [[] for _ in range(sys.size)]
         for k in base.mu:
             self.keys[sys.cayley_left[k[0]][k[2]]].append(k)
         self.same = [True] + [None] * (sys.size - 1)
 
-    def row(self, u):
-        """The image of the base's row u, without zero entries; the base's
-        row object itself when the parameters are the same."""
-        row = self.base.rows[u]
-        if self.identity:
-            return row
-        image = self.image
-        return {y: q for y, p in row.items() if (q := image(p))}
-
     def take(self, u, rows):
         """``(row, M items)`` of row u from the base, or None when a row it
         read differs here (su for each left descent s, y for each nonzero
         M^s_{y,su}) or an entry of it is not below 1 in the run's order."""
-        sys, keys = self.sys, self.keys[u]
+        sys, keys, base = self.sys, self.keys[u], self.base
         for r in chain((sys.cayley_left[s][u] for s in sys.left_descents(u)),
                        (y for _, y, _ in keys)):
             if self.same[r] is None:
-                self.same[r] = rows[r] == self.row(r)
+                self.same[r] = rows[r] == base.rows[r]
             if not self.same[r]:
                 return None
-        row = self.row(u)
+        row = base.rows[u]
         if self.non_negative(u, row) is not None:
             return None
         self.same[u] = True
-        mu = self.base.mu
-        return row, [(k, q) for k in keys if (q := self.image(mu[k]))]
-
-    def keep(self, u, row):
-        """Row u as the run computed it, or the base's row object when the
-        parameters are the same and the two are equal."""
-        old = self.base.rows[u]
-        return old if self.identity and row == old else row
+        return row, [(k, base.mu[k]) for k in keys]
 
 
 def compute_kl(sys, params, order, base=None):
@@ -361,18 +351,18 @@ def compute_kl(sys, params, order, base=None):
     the shifts v_s^-1 P* per generator by ``id(P*)``; both sign tests
     (the M-candidates, the post-condition) are ``order.all_negative``.
 
-    With a ``base``, any earlier result for the same system, row u and
-    its M entries are taken from it when every row it read is equal here
-    (su for each left descent s, y for each nonzero M^s_{y,su}) and every
-    entry of it off the diagonal lies below 1 in this order, the
-    post-condition's test.  The base row is bar-invariant, so by the
-    uniqueness of the canonical basis it is C_u here; the C_y form a
-    basis, so the M entries of (T_s + v_s^-1) C_{su} - C_u are the
-    base's too.  A base with the same parameters gives its row objects;
-    under a weight run, a base with one variable per class gives its rows
-    and M entries specialized along v_s -> v^L(s), which commutes with
-    bar, without the zeros a direct run drops.  Taken rows pass the same
-    post-condition; the result equals a run without ``base``.
+    With a ``base``, an earlier result for the same system and
+    parameters, row u and its M entries are taken from it when every row
+    it read is equal here (su for each left descent s, y for each nonzero
+    M^s_{y,su}) and every entry of it off the diagonal lies below 1 in
+    this order, the post-condition's test.  The base row is bar-invariant,
+    so by the uniqueness of the canonical basis it is C_u here; the C_y
+    form a basis, so the M entries of (T_s + v_s^-1) C_{su} - C_u are the
+    base's too.  Under a weight run, a base with one variable per class is
+    first carried to the weight by :func:`specialized` (with the run's
+    intern table), which drops the M entries sigma maps to 0 and so the
+    reads of their y.  Rows taken, or computed equal to the base's, are
+    the base's objects; the result equals a run without ``base``.
     """
     validate_params(sys, params, order)
     space = order.space
@@ -423,8 +413,12 @@ def compute_kl(sys, params, order, base=None):
                    poly_text(space, row[y], order))
             )
 
-    reuse = None if base is None else _Reuse(base, sys, params, order,
-                                             intern, non_negative)
+    if base is not None and tuple(params) != base.params:
+        if space.rank != 1 or base.params != class_params(sys)[1]:
+            raise ValueError("a base run needs the same parameters, or "
+                             "one variable per class for a weight run")
+        base = specialized(base, class_weights_of(sys, params), intern)
+    reuse = None if base is None else _Reuse(base, sys, non_negative)
     for u in range(1, sys.size):
         taken = reuse and reuse.take(u, rows)
         if taken:
@@ -452,8 +446,8 @@ def compute_kl(sys, params, order, base=None):
                 raise KLError(f"descent choice changed C_{sys.word_text(u)}")
             for y, m_poly in mu_local.items():
                 mu[(s, y, w)] = m_poly
-        if reuse:
-            rows[u] = reuse.keep(u, row)
+        if reuse and row == base.rows[u]:
+            rows[u] = base.rows[u]      # equal rows share one object
 
     return KLData(sys=sys, space=space, params=params, order=order,
                   rows=rows, mu=mu, v_elem=v_of_element(sys, params, space))

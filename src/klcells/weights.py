@@ -292,9 +292,10 @@ def specialization_consistency(order_data, weight_data, coord_weights, gamma):
     """Check the two computation routes agree under a certified map.
 
     Requires the star condition for the order data's monomial set
-    ``gamma`` (``gamma_plus_W(order_data)``); then asserts sigma(P*) and
-    sigma(M) equal the directly computed single-variable tables
-    entrywise, and that sigma kills no nonzero M.  Returns a CheckReport.
+    ``gamma`` (``gamma_plus_W(order_data)``); then asserts that the image
+    ``kl.specialized(order_data, coord_weights)`` equals the directly
+    computed single-variable tables entrywise, and that sigma kills no
+    nonzero M.  Returns a CheckReport.
     """
     report = kl_mod.CheckReport("specialization-consistency")
     space = order_data.space
@@ -303,22 +304,14 @@ def specialization_consistency(order_data, weight_data, coord_weights, gamma):
         report.violations.append(("star condition fails", viol[:5]))
         return report
     sys = order_data.sys
-    images = {}     # id(p) -> sigma(p); shared objects are mapped once
-
-    def sigma(p):
-        q = images.get(id(p))
-        if q is None:
-            q = images[id(p)] = kl_mod.specialize_poly(space, coord_weights, p)
-        return q
-
+    image = kl_mod.specialized(order_data, coord_weights)
     for w in range(sys.size):
-        sa = {y: q for y, p in order_data.rows[w].items() if (q := sigma(p))}
-        report.checked += len(sa)
-        if sa != weight_data.rows[w]:
+        report.checked += len(image.rows[w])
+        if image.rows[w] != weight_data.rows[w]:
             report.violations.append(("P-row", sys.word_text(w)))
     mu_b = weight_data.mu
-    for key, m_poly in order_data.mu.items():
-        sm = sigma(m_poly)
+    for key in order_data.mu:
+        sm = image.mu.get(key, {})
         report.checked += 1
         if not sm:
             report.violations.append(("sigma(M) = 0", key))
@@ -414,9 +407,9 @@ def weighted_order(space, class_values, tie_coord):
 
 def _hint(gamma, data):
     """What the tasks submitted from a probe's result take from it: its
-    certifying set ``gamma`` and, as bytes, its tables (rows, M-table and
-    parameters: what ``kl.compute_kl`` reads of a base), pickled and
-    compressed; only the workers that run those tasks unpickle them."""
+    certifying set ``gamma`` and, as bytes, its tables (rows, M-table,
+    parameters and space: what ``kl.compute_kl`` reads of a base), pickled
+    and compressed; only the workers that run those tasks unpickle them."""
     return gamma, zlib.compress(pickle.dumps(
         replace(data, sys=None, order=None, v_elem=None)), 1)
 
@@ -431,7 +424,8 @@ def _exact_regions(sys, chart, swap, ratio, hint=None):
     its region from a single-variable run, whose params are its weights, and
     for ratio != 1 with a class swap ``(perm, elem_map)`` its image at
     1/ratio.  The run takes the rows it can from the tables in ``hint``, of
-    an order probe whose region ends at ``ratio``.
+    an order probe whose region ends at ``ratio``, carried to its weight
+    by ``kl.specialized``.
     """
     _, params, order = kl_mod.weight_params(sys, weight_from_class_values(
         sys, ratio_class_values(ratio, numerator_coord(sys))))
@@ -526,13 +520,13 @@ def scan_equivalence_classes(sys, *, chart=None, jobs=1):
     end.  Each task takes the rows it can from the tables of the probe
     whose result submitted it (``kl.compute_kl`` with ``base``): a probe
     from its parent's, an exact run from those of a probe whose region
-    ends at its ratio.  A row is taken when the rows it read are equal and
-    its entries lie below 1 in the task's order.  A probe returns its
-    tables pickled in its hint, and this process hands them on without
-    unpickling them.  This function only tiles, counts runs and merges.
-    ``jobs`` > 1 runs the tasks in a process pool of at most
-    ``os.cpu_count()`` workers, 1 runs them in process; the merge is
-    deterministic.
+    ends at its ratio, carried to its weight by ``kl.specialized``.  A row
+    is taken when the rows it read are equal and its entries lie below 1
+    in the task's order.  A probe returns its tables pickled in its hint,
+    and this process hands them on without unpickling them.  This
+    function only tiles, counts runs and merges.  ``jobs`` > 1 runs the
+    tasks in a process pool of at most ``os.cpu_count()`` workers, 1 runs
+    them in process; the merge is deterministic.
     """
     if len(sys.gen_classes) != 2:
         raise ValueError("scan requires exactly two generator classes")

@@ -391,6 +391,46 @@ def test_weight_mode_matches_specialized_order_mode(i26):
     assert rep.ok and rep.checked > 50
 
 
+def test_a_base_needs_the_run_parameters_or_one_variable_per_class(b3):
+    _, params, order = kl.weight_params(b3, (2, 1, 1))
+    base = kl.compute_kl(b3, kl.weight_params(b3, (3, 1, 1))[1], order)
+    with pytest.raises(ValueError, match="a base run needs the same"):
+        kl.compute_kl(b3, params, order, base=base)
+
+
+@pytest.mark.parametrize("weight, equal", [
+    ((5, 2, 2, 2), 383), ((1, 1, 1, 1), 180)], ids=["inside", "breakpoint"])
+def test_weight_run_on_an_order_base_at_its_ratio(b4, monkeypatch, weight,
+                                                  equal):
+    # a weight run whose base is an order run at its own ratio, one
+    # variable per class, carries the base to the weight once (with
+    # kl.specialized) and equals the run without a base; each of its rows
+    # equal to the image's, taken or computed, is the image's object;
+    # (5, 2, 2, 2) lies inside 0 < b/a < 1/2, where the order certifies
+    # the weight, and (1, 1, 1, 1) at the breakpoint b/a = 1
+    from klcells import weights
+
+    space, params = kl.class_params(b4)
+    base = kl.compute_kl(b4, params, weights.weighted_order(
+        space, kl.class_weights_of(b4, weight), 0))
+    _, params, order = kl.weight_params(b4, weight)
+    specialized, images = kl.specialized, []
+
+    def recording(*args, **kwargs):
+        images.append(specialized(*args, **kwargs))
+        return images[-1]
+
+    monkeypatch.setattr(kl, "specialized", recording)
+    data = kl.compute_kl(b4, params, order, base=base)
+    plain = kl.compute_kl(b4, params, order)
+    assert data.rows == plain.rows
+    assert list(data.mu.items()) == list(plain.mu.items())
+    [image] = images
+    same = [u for u in range(1, b4.size) if data.rows[u] == image.rows[u]]
+    assert len(same) == equal
+    assert all(data.rows[u] is image.rows[u] for u in same)
+
+
 @pytest.mark.parametrize("name, before, after", [
     ("I2:6", ((1, 2), (1, 0)), ((2, 1), (0, 1))),
     ("I2:8", ((0, 1), (1, 0)), ((1, 0), (0, 1))),

@@ -180,6 +180,44 @@ def test_specialization_consistency_sees_a_changed_entry(b3):
     assert rep.violations == [("M entry", key)]
 
 
+def test_specialization_consistency_sees_sigma_kill_an_m_entry(b3):
+    # an order-side M entry that sigma maps to 0, v^(b,0) - v^(0,a) under
+    # class values (a, b), while the weight side has a nonzero entry there
+    odata, wdata, cw, gamma = certified_b3_pair(b3)
+    checked = weights.specialization_consistency(odata, wdata, cw,
+                                                 gamma).checked
+    key = min(odata.mu)
+    space = odata.space
+    mu = {**odata.mu, key: {space.pack((cw[1], 0)): 1,
+                            space.pack((0, cw[0])): -1}}
+    rep = weights.specialization_consistency(replace(odata, mu=mu),
+                                             wdata, cw, gamma)
+    assert rep.violations == [("sigma(M) = 0", key), ("M entry", key)]
+    assert rep.checked == checked
+
+
+def test_specialization_consistency_sees_an_extra_weight_side_entry(b3):
+    odata, wdata, cw, gamma = certified_b3_pair(b3)
+    checked = weights.specialization_consistency(odata, wdata, cw,
+                                                 gamma).checked
+    key = min(odata.mu)
+    mu = {k: m for k, m in odata.mu.items() if k != key}
+    rep = weights.specialization_consistency(replace(odata, mu=mu),
+                                             wdata, cw, gamma)
+    assert rep.violations == [("extra weight-side M entry", key)]
+    assert rep.checked == checked - 1
+
+
+def test_specialization_consistency_needs_the_star_condition(b3):
+    # the order run certifies 2 < b/a only: at b/a = 1 nothing is compared
+    odata, wdata, _, gamma = certified_b3_pair(b3)
+    ok, viol = weights.check_star(odata.space, (1, 1), gamma)
+    assert not ok and viol
+    rep = weights.specialization_consistency(odata, wdata, (1, 1), gamma)
+    assert rep.violations == [("star condition fails", viol[:5])]
+    assert rep.checked == 0
+
+
 def test_scan_dihedral():
     for m in (4, 6):
         sys = system(f"I2:{m}")
@@ -387,13 +425,18 @@ def test_failed_run_ends_the_scan_and_its_workers(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
-@pytest.mark.parametrize("name", ["B3", "I2:6", "B4"])
+@pytest.mark.parametrize("name, taken", [
+    ("B3", [0, 17, 17, 35, 35]),
+    ("I2:6", [0, 4]),
+    ("B4", [0, 91, 91, 203, 203, 332, 332, 355, 355, 375, 375])],
+    ids=["B3", "I2:6", "B4"])
 def test_scan_runs_equal_runs_without_a_base(tmp_path, monkeypatch, name,
-                                             jobs):
+                                             taken, jobs):
     # every run of the scan, order probe or exact run, is redone without a
     # base and with a plain order: rows, M-table and the order of the
     # M-table are equal; each run (in a worker with --jobs 2) appends its
-    # kind, whether it had a base and how many rows it took from it
+    # kind, whether it had a base and how many rows it took from it, and
+    # the rows taken per run are pinned, so that lost reuse fails here
     compute_kl, half_row = kl.compute_kl, kl._half_row
     built = set()
 
@@ -426,7 +469,7 @@ def test_scan_runs_equal_runs_without_a_base(tmp_path, monkeypatch, name,
     assert sorted(r for r in runs if not r[1]) == [("probe", 0, 0)]
     assert {kind for kind, based, _ in runs if based} == (
         {"exact"} if name == "I2:6" else {"exact", "probe"})
-    assert sum(taken for *_, taken in runs) > 0
+    assert sorted(n for *_, n in runs) == taken
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -440,7 +483,7 @@ def test_planted_monomial_in_a_taken_row_ends_the_scan(tmp_path, capsys,
 
     def planting(self, u, rows):
         taken = take(self, u, rows)
-        if taken and not self.identity:
+        if taken and self.base.space.rank == 1:
             row, mu_items = taken
             y = next(y for y in row if y != u)
             taken = {**row, y: {**row[y], 0: 1}}, mu_items
