@@ -19,15 +19,17 @@ right Cayley table are derived from it.
 
 Elements are indexed 0..|W|-1, breadth-first by length and then
 lexicographically by the canonical (lexicographically minimal) reduced
-word; index 0 is the identity.  A built system is immutable and safe to
-share between threads.
+word; index 0 is the identity.  Every table, the conjugacy classes
+included, is computed by ``build_system``; a built system is a frozen
+value that nothing fills in later, so it can be shared between threads
+and pickled while another thread reads it.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class CoxeterError(ValueError):
@@ -275,11 +277,12 @@ def _component_seeds(mat):
 # the enumerated system
 
 
-@dataclass
+@dataclass(frozen=True)
 class CoxeterSystem:
     """Fully enumerated finite Coxeter system.
 
-    Immutable after construction; all tables are index-based.
+    Frozen: every field is set by ``build_system`` and never changes;
+    all tables are index-based.
     """
 
     spec: CoxeterSpec
@@ -293,8 +296,7 @@ class CoxeterSystem:
     longest: int
     gen_classes: list           # partition of generators by odd-bond connectivity
     class_of_gen: list
-    _bruhat_memo: dict = field(default_factory=dict, repr=False)
-    _conj_classes: list | None = field(default=None, repr=False)
+    conj_classes: list          # see conjugacy_classes
 
     # -- basic accessors ----------------------------------------------------
 
@@ -325,25 +327,15 @@ class CoxeterSystem:
     # -- Bruhat order ---------------------------------------------------------
 
     def bruhat_leq(self, y, w):
-        """Bruhat-Chevalley order via the descent recursion, memoized."""
-        if y == w:
-            return True
-        if self.length[y] >= self.length[w]:
-            return False
-        memo = self._bruhat_memo
-        key = (y, w)
-        val = memo.get(key)
-        if val is not None:
-            return val
-        s = self.words[w][0]        # a left descent of w
-        sw = self.cayley_left[s][w]
-        sy = self.cayley_left[s][y]
-        if self.length[sy] < self.length[y]:
-            val = self.bruhat_leq(sy, sw)
-        else:
-            val = self.bruhat_leq(y, sw)
-        memo[key] = val
-        return val
+        """Bruhat-Chevalley order by the descent walk along the canonical
+        word of w: for a left descent s of w, y <= w if and only if
+        min(y, sy) <= sw.  O(l(w)) steps."""
+        length = self.length
+        for s in self.words[w]:
+            sy = self.cayley_left[s][y]
+            if length[sy] < length[y]:
+                y = sy
+        return y == 0
 
     def bruhat_below(self, w):
         """Sorted list of all y <= w."""
@@ -358,30 +350,7 @@ class CoxeterSystem:
         index); representatives are minimal in that key.  The identity
         class always comes first.
         """
-        if self._conj_classes is not None:
-            return self._conj_classes
-        assigned = [False] * self.size
-        classes = []
-        for start in range(self.size):
-            if assigned[start]:
-                continue
-            orbit = {start}
-            stack = [start]
-            assigned[start] = True
-            while stack:
-                x = stack.pop()
-                for s in range(self.rank):
-                    y = self.cayley_left[s][self.cayley_right[s][x]]
-                    if not assigned[y]:
-                        assigned[y] = True
-                        orbit.add(y)
-                        stack.append(y)
-            members = tuple(sorted(orbit))
-            rep = min(members, key=lambda e: (self.length[e], e))
-            classes.append((rep, members))
-        classes.sort(key=lambda c: (self.length[c[0]], c[0]))
-        self._conj_classes = classes
-        return classes
+        return self.conj_classes
 
     def class_index_of(self):
         """List mapping element -> index of its conjugacy class."""
@@ -433,6 +402,28 @@ class CoxeterSystem:
 def generator_classes(matrix):
     """Partition generators by connectivity through odd finite bonds."""
     return _components(matrix, lambda m: m % 2 == 1)
+
+
+def _conjugacy_classes(cayley_left, cayley_right):
+    """Orbits of x -> sxs, as :meth:`CoxeterSystem.conjugacy_classes`
+    lists them.  Indices are breadth-first by length, so the least index
+    of an orbit, where the scan meets it, is minimal in (length, index)."""
+    size = len(cayley_left[0])
+    assigned = [False] * size
+    classes = []
+    for start in range(size):
+        if assigned[start]:
+            continue
+        assigned[start] = True
+        orbit = [start]
+        for x in orbit:
+            for left_s, right_s in zip(cayley_left, cayley_right):
+                y = left_s[right_s[x]]
+                if not assigned[y]:
+                    assigned[y] = True
+                    orbit.append(y)
+        classes.append((start, tuple(sorted(orbit))))
+    return classes
 
 
 def build_system(spec, cap=DEFAULT_CAP):
@@ -521,4 +512,5 @@ def build_system(spec, cap=DEFAULT_CAP):
         longest=longest_candidates[0],
         gen_classes=classes,
         class_of_gen=class_of_gen,
+        conj_classes=_conjugacy_classes(cayley_left, cayley_right),
     )

@@ -296,9 +296,10 @@ class _Reuse:
     run's (see :func:`compute_kl`).
 
     ``keys[u]`` lists the base's M keys (s, y, su) of row u in the base's
-    order, ``same[x]`` says whether row x equals the base's row x (None:
-    not compared yet), and ``non_negative`` is the run's post-condition
-    test: the first y != u whose entry of row u is not below 1, or None.
+    order, and ``non_negative`` is the run's post-condition test: the
+    first y != u whose entry of row u is not below 1, or None.
+    ``compute_kl`` stores every row equal to the base's as the base's
+    object, so ``take`` compares the rows it reads by identity.
     """
 
     def __init__(self, base, sys, non_negative):
@@ -306,23 +307,19 @@ class _Reuse:
         self.keys = [[] for _ in range(sys.size)]
         for k in base.mu:
             self.keys[sys.cayley_left[k[0]][k[2]]].append(k)
-        self.same = [True] + [None] * (sys.size - 1)
 
     def take(self, u, rows):
         """``(row, M items)`` of row u from the base, or None when a row it
         read differs here (su for each left descent s, y for each nonzero
         M^s_{y,su}) or an entry of it is not below 1 in the run's order."""
         sys, keys, base = self.sys, self.keys[u], self.base
-        for r in chain((sys.cayley_left[s][u] for s in sys.left_descents(u)),
-                       (y for _, y, _ in keys)):
-            if self.same[r] is None:
-                self.same[r] = rows[r] == base.rows[r]
-            if not self.same[r]:
-                return None
+        reads = chain((sys.cayley_left[s][u] for s in sys.left_descents(u)),
+                      (y for _, y, _ in keys))
+        if any(rows[r] is not base.rows[r] for r in reads):
+            return None
         row = base.rows[u]
         if self.non_negative(u, row) is not None:
             return None
-        self.same[u] = True
         return row, [(k, base.mu[k]) for k in keys]
 
 
@@ -361,8 +358,10 @@ def compute_kl(sys, params, order, base=None):
     base's too.  Under a weight run, a base with one variable per class is
     first carried to the weight by :func:`specialized` (with the run's
     intern table), which drops the M entries sigma maps to 0 and so the
-    reads of their y.  Rows taken, or computed equal to the base's, are
-    the base's objects; the result equals a run without ``base``.
+    reads of their y.  Rows taken, or computed equal to the base's (row
+    0 included), are the base's objects, so a read row is equal to the
+    base's exactly when it is the base's; the result equals a run
+    without ``base``.
     """
     validate_params(sys, params, order)
     space = order.space
@@ -419,6 +418,8 @@ def compute_kl(sys, params, order, base=None):
                              "one variable per class for a weight run")
         base = specialized(base, class_weights_of(sys, params), intern)
     reuse = None if base is None else _Reuse(base, sys, non_negative)
+    if reuse and rows[0] == base.rows[0]:
+        rows[0] = base.rows[0]
     for u in range(1, sys.size):
         taken = reuse and reuse.take(u, rows)
         if taken:

@@ -16,11 +16,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import pickle
 import re
 import shutil
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import groupby
 from pathlib import Path
@@ -108,7 +107,10 @@ def run_pipeline(config, sys=None):
     (``_cross_check_weight``) runs in a one-worker process pool from the
     moment the tables exist, beside the analysis and the other checks;
     its report is collected after theirs, and the pool is shut down,
-    queued work cancelled, however the run ends.
+    queued work cancelled, however the run ends.  The worker gets the
+    system, the configuration and the weight tables without their order,
+    whose memos the analysis and the checks go on filling; nothing else
+    it takes changes, so the pool may pickle it while they run.
     """
     if sys is None:
         sys = build_system(config.system)
@@ -127,8 +129,8 @@ def run_pipeline(config, sys=None):
 
         pool = ProcessPoolExecutor(1)
     try:
-        cross = pool and pool.submit(_cross_check_pickled, pickle.dumps(
-            (sys, config, data)))
+        cross = pool and pool.submit(_cross_check_weight, sys, config,
+                                     replace(data, order=None))
         found = weights_mod.analyse(data, chart_for(sys))
         result = RunResult(**vars(found), config=config, kl=data)
 
@@ -159,17 +161,6 @@ def run_pipeline(config, sys=None):
     return result
 
 
-def _cross_check_pickled(blob):
-    """``_cross_check_weight`` of the pickled ``(sys, config, data)``.
-
-    The pool pickles a task's arguments in a thread of its own, while
-    this process goes on to fill the caches of the same system and order
-    (``analyse`` stores the conjugacy classes on the system); pickled by
-    the submitting thread, the arguments are a snapshot.
-    """
-    return _cross_check_weight(*pickle.loads(blob))
-
-
 def _cross_check_weight(sys, config, weight_data):
     """Compare the weight run against order-mode runs at the same ratio.
 
@@ -178,9 +169,9 @@ def _cross_check_weight(sys, config, weight_data):
     specialization, the tables must agree entrywise.  The two order runs
     have the same parameters, so the tie-1 run takes the rows it can from
     the tie-0 run (``kl.compute_kl`` with ``base``); neither takes rows
-    from the weight run, which they check.  A cross-check that certifies
-    no order compared nothing and is reported as inconclusive, not as a
-    pass.
+    from the weight run, which they check; of that run only the rows and
+    the M-table are read.  A cross-check that certifies no order compared
+    nothing and is reported as inconclusive, not as a pass.
     """
     report = kl_mod.CheckReport("weight-vs-order cross-check")
     if config.weight is None or len(sys.gen_classes) != 2:

@@ -1,9 +1,12 @@
+import dataclasses
 import hashlib
+import pickle
 from itertools import combinations
 
 import pytest
 
 from chargen import element_order
+from klcells import kl, pipeline
 from klcells.coxeter import (
     CoxeterError,
     CoxeterSpec,
@@ -138,6 +141,21 @@ def test_bruhat_order():
             assert set(sys.bruhat_below(w)) == below
 
 
+@pytest.mark.parametrize("weight", [None, (2, 1, 1, 1)],
+                         ids=["two-variable", "2,1,1,1"])
+def test_bruhat_below_is_the_support_of_r(b4, weight):
+    # R_{y,w} is nonzero exactly when y <= w: on B4 the descent walk
+    # agrees with the R-recursion, which never consults the order
+    if weight is None:
+        space, params = kl.class_params(b4)
+    else:
+        space, params, _ = kl.weight_params(b4, weight)
+    support = [set() for _ in range(b4.size)]
+    for y, w in kl.compute_r(b4, params, space):
+        support[w].add(y)
+    assert [set(b4.bruhat_below(w)) for w in range(b4.size)] == support
+
+
 def test_bruhat_incomparable_example(i24):
     sts = i24.word_to_element((0, 1, 0))
     tst = i24.word_to_element((1, 0, 1))
@@ -167,6 +185,21 @@ def test_conjugacy_classes():
         assert brute == set(members)
     sizes = [len(c[1]) for c in system("B3").conjugacy_classes()]
     assert sum(sizes) == 48
+
+
+def test_a_run_leaves_the_system_unchanged():
+    # every fact about a system is computed when it is built: a run whose
+    # checks read its Bruhat order and conjugacy classes, with the
+    # cross-check pickling it to a worker, leaves the same bytes behind
+    sys = build_system("B3")
+    before = pickle.dumps(sys)
+    config = pipeline.RunConfig("B3", weight=(3, 1, 1),
+                                checks=("L", "oracle"), cross_check=True)
+    assert pipeline.run_pipeline(config, sys).ok
+    assert pickle.dumps(sys) == before
+    for name in ("size", "conj_classes", "cache"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(sys, name, None)
 
 
 def test_class_index_and_order():

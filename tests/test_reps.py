@@ -1,5 +1,6 @@
 import io
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -192,6 +193,42 @@ def test_decompose_rejects_mismatches(i24):
     assert reps.decompose(triv, table, class_map) == [("1_1", 1)]
     assert reps.decomposition_name([("4_1", 1), ("16_1", 2)]) \
         == "4_1 + 2*16_1"
+
+
+def _values(row, class_map):
+    """A table row as a class function on the system's classes."""
+    values = [0] * len(class_map)
+    for a, ci in zip(row, class_map):
+        values[ci] = a
+    return values
+
+
+def test_decompose_rejects_a_negative_multiplicity(i24):
+    # trivial minus sign is a virtual character: the sign comes out -1
+    table = reps.load_bundled_table("i2_4")
+    class_map = reps.table_for_system(i24, table)
+    sign = table.labels.index("1_4")
+    assert table.rows[sign] == [1, -1, -1, 1, 1]
+    values = [t - s for t, s in zip(_values(table.rows[0], class_map),
+                                    _values(table.rows[sign], class_map))]
+    with pytest.raises(reps.CharacterDataError,
+                       match="negative multiplicity for 1_4: -1"):
+        reps.decompose(values, table, class_map)
+
+
+def test_decompose_rejects_a_table_missing_an_irreducible(i24):
+    # an irreducible is orthogonal to every other row, so without its
+    # own row all multiplicities are 0 and nothing reconstructs it
+    table = reps.load_bundled_table("i2_4")
+    class_map = reps.table_for_system(i24, table)
+    for i, label in enumerate(table.labels):
+        rest = replace(table, **{
+            field: getattr(table, field)[:i] + getattr(table, field)[i + 1:]
+            for field in ("labels", "rows", "norms")})
+        with pytest.raises(reps.CharacterDataError,
+                           match="multiplicities do not reconstruct"):
+            reps.decompose(_values(table.rows[i], class_map), rest,
+                           class_map)
 
 
 def test_folded_dihedral_decomposition():

@@ -586,6 +586,15 @@ def test_taken_rows_read_their_m_support(b4, monkeypatch):
     assert wrong_mu() == 8
 
 
+def test_breakpoint_candidates():
+    # |i/j| for each monomial with exponent i of the denominator class
+    # and j of the numerator class, both nonzero
+    space = MonomialSpace(2)
+    monomials = {space.pack(e) for e in [(-5, 2), (3, -1), (1, 0), (0, 1)]}
+    assert weights.breakpoint_candidates(space, monomials, 1) == {
+        Fraction(5, 2), Fraction(3)}
+
+
 def test_asymptotic_class_bound(b3):
     assert weights.asymptotic_class_bound(b3) == 18
     report = weights.scan_equivalence_classes(b3)
