@@ -24,7 +24,7 @@ from pathlib import Path
 
 from . import kl as kl_mod
 from . import cells, pipeline, reps, weights
-from .coxeter import CoxeterError, build_system
+from .coxeter import CoxeterError, build_system, parse_type
 
 
 def _parse_weight(text):
@@ -153,7 +153,8 @@ _F4_REFINEMENTS = (("equal", "a=b", "between", "2a>b>a"),
 
 
 def cmd_check(args, parser):
-    """Verification battery (a compute run per case); exits 1 on a FAIL."""
+    """Verification battery (a compute run per case); exits 1 on a FAIL.
+    Without ``--weight``, any type with F4's matrix runs the F4 cases."""
     failed = False
 
     def line(ok, text):
@@ -162,7 +163,7 @@ def cmd_check(args, parser):
         failed = failed or not ok
 
     sys_ = build_system(args.type)
-    f4 = args.type.upper().replace("_", "") == "F4" and not args.weight
+    f4 = sys_.spec.matrix == parse_type("F4").matrix and not args.weight
     cases = _F4_CASES if f4 else [(None, _parse_weight(args.weight)
                                    if args.weight else (1,) * sys_.rank)]
     lefts = {}      # the cells of each case, not its run's tables

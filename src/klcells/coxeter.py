@@ -375,14 +375,10 @@ class CoxeterSystem:
         return autos
 
     def element_map_for_auto(self, perm):
-        """Element permutation induced by a diagram automorphism."""
-        out = [0] * self.size
-        for w in range(self.size):
-            x = 0
-            for s in self.words[w]:
-                x = self.cayley_right[perm[s]][x]
-            out[w] = x
-        return out
+        """Element permutation induced by a diagram automorphism: w goes to
+        its canonical word with each s replaced by ``perm[s]``."""
+        return [self.word_to_element(perm[s] for s in word)
+                for word in self.words]
 
     def summary(self):
         hist = {}

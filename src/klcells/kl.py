@@ -136,9 +136,9 @@ def specialize_poly(space, coord_weights, poly):
 def specialized(data, coord_weights, intern=lambda p: p):
     """The image of the tables of ``data`` along v_s -> v^L(s), with L
     given per class by ``coord_weights``: a :class:`KLData` over one
-    variable, without ``v_elem``.  Each distinct polynomial object is
-    mapped once and passed through ``intern``; entries that map to 0 are
-    left out of the rows and of the M-table."""
+    variable.  Each distinct polynomial object is mapped once and passed
+    through ``intern``; entries that map to 0 are left out of the rows and
+    of the M-table."""
     space, one = data.space, MonomialSpace(1)
     images = {}
 
@@ -169,16 +169,6 @@ def validate_params(sys, params, order):
             )
 
 
-def v_of_element(sys, params, space):
-    """v_w = product of v_s over a reduced word, for every element."""
-    one = space.one
-    out = [one] * sys.size
-    for w in range(1, sys.size):
-        s = sys.words[w][-1]
-        out[w] = out[sys.cayley_right[s][w]] + params[s] - one
-    return out
-
-
 @dataclass
 class KLData:
     """P*-table, M-table and context for one (system, params, order) run."""
@@ -189,7 +179,16 @@ class KLData:
     order: MonomialOrder
     rows: list            # rows[w]: dict y -> P*_{y,w} (includes y=w -> 1)
     mu: dict              # (s, y, w) -> nonzero bar-invariant polynomial
-    v_elem: list = None   # v_w per element
+
+    @property
+    def v_elem(self):
+        """v_w = product of v_s over a reduced word, per element (derived)."""
+        one, sys = self.space.one, self.sys
+        out = [one] * sys.size
+        for w in range(1, sys.size):
+            s = sys.words[w][-1]
+            out[w] = out[sys.cayley_right[s][w]] + self.params[s] - one
+        return out
 
     def mu_by_sw(self):
         """Index (s, w) -> list of (y, M^s_{y,w}) pairs, sorted by y."""
@@ -450,8 +449,7 @@ def compute_kl(sys, params, order, base=None):
         if reuse and row == base.rows[u]:
             rows[u] = base.rows[u]      # equal rows share one object
 
-    return KLData(sys=sys, space=space, params=params, order=order,
-                  rows=rows, mu=mu, v_elem=v_of_element(sys, params, space))
+    return KLData(sys, space, params, order, rows, mu)
 
 
 def automorphic_image(data, perm, elem_map):
@@ -478,8 +476,7 @@ def automorphic_image(data, perm, elem_map):
           for (s, y, w), m in data.mu.items()}
     params = tuple(swap(data.params[s]) for s in perm)
     order = MonomialOrder(space, [f[::-1] for f in data.order.functionals])
-    return KLData(data.sys, space, params, order, rows, mu,
-                  v_of_element(data.sys, params, space))
+    return KLData(data.sys, space, params, order, rows, mu)
 
 
 # ---------------------------------------------------------------------------
@@ -583,8 +580,7 @@ def oracle_kl(sys, params, order):
             if p:
                 row[x] = p
         rows[w] = row
-    return KLData(sys=sys, space=space, params=params, order=order,
-                  rows=rows, mu={}, v_elem=v_of_element(sys, params, space))
+    return KLData(sys, space, params, order, rows, {})
 
 
 # ---------------------------------------------------------------------------

@@ -407,11 +407,10 @@ def weighted_order(space, class_values, tie_coord):
 
 def _hint(gamma, data):
     """What the tasks submitted from a probe's result take from it: its
-    certifying set ``gamma`` and, as bytes, its tables (rows, M-table,
-    parameters and space: what ``kl.compute_kl`` reads of a base), pickled
-    and compressed; only the workers that run those tasks unpickle them."""
+    certifying set ``gamma`` and, pickled and compressed, its tables without
+    system and order (what ``kl.compute_kl`` reads of a base)."""
     return gamma, zlib.compress(pickle.dumps(
-        replace(data, sys=None, order=None, v_elem=None)), 1)
+        replace(data, sys=None, order=None)), 1)
 
 
 def _base(hint):

@@ -300,7 +300,7 @@ def test_full_bar_check_flags_the_reference_slices(name, weight,
     rows = [dict(row) for row in good.rows]
     rows[w0][y] = {**p, low: p[low] + 1}
     bad = kl.KLData(sys=sys, space=space, params=good.params, order=order,
-                    rows=rows, mu=dict(good.mu), v_elem=good.v_elem)
+                    rows=rows, mu=dict(good.mu))
     rep = kl.verify_bar_identity_full(bad)
     assert len(rep.violations) > 1
     assert rep.violations == reference_slices(bad)
@@ -323,7 +323,7 @@ def test_full_bar_check_overflow_guard_bounds_every_partial_sum():
     rows = [{y: {m: k * c for m, c in p.items()} for y, p in row.items()}
             for row in good.rows]
     scaled = kl.KLData(sys=sys, space=space, params=good.params,
-                       order=order, rows=rows, mu={}, v_elem=good.v_elem)
+                       order=order, rows=rows, mu={})
     with pytest.raises(OverflowError):
         kl.verify_bar_identity_full(scaled)
 
@@ -431,6 +431,21 @@ def test_weight_run_on_an_order_base_at_its_ratio(b4, monkeypatch, weight,
     assert all(data.rows[u] is image.rows[u] for u in same)
 
 
+def test_specialized_tables_carry_v_w(b3):
+    # the image of an order run at a weight it certifies has the weight
+    # run's v_w, and the normalization and bound checks read the same
+    # verdicts and counts from it as from the weight run's own tables
+    from test_weights import certified_b3_pair
+
+    odata, wdata, cw, _ = certified_b3_pair(b3)
+    image = kl.specialized(odata, cw)
+    assert image.v_elem == wdata.v_elem
+    for check in (kl.check_lemma_p, kl.check_lemma_m, kl.check_bounds):
+        got, want = check(image), check(wdata)
+        assert (got.ok, got.checked) == (want.ok, want.checked)
+        assert got.ok and got.checked > 0
+
+
 @pytest.mark.parametrize("name, before, after", [
     ("I2:6", ((1, 2), (1, 0)), ((2, 1), (0, 1))),
     ("I2:8", ((0, 1), (1, 0)), ((1, 0), (0, 1))),
@@ -491,7 +506,7 @@ def test_checks_report_every_entry_of_a_shared_polynomial():
     rows[w0][s1] = rows[w0][s2] = rows[s2][0] = bad
     rows[w0][0] = rows[s1][0]
     data = kl.KLData(sys=sys, space=space, params=params, order=order,
-                     rows=rows, mu=dict(good.mu), v_elem=good.v_elem)
+                     rows=rows, mu=dict(good.mu))
     lemma = kl.check_lemma_p(data)
     assert sorted(lemma.violations) == \
         sorted([(s1, w0), (s2, w0), (0, s2), (0, w0)])

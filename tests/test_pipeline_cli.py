@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -201,6 +203,18 @@ def test_cli_check_f4(capsys):
     # and constructible list, then the refinements between them
     assert cli.main(["check", "--type", "F4"]) == 0
     assert capsys.readouterr().out == F4_CHECK_LINES
+
+
+@pytest.mark.parametrize("spelling", ["F", "F(4)", "F 4"])
+def test_cli_check_knows_f4_by_its_coxeter_matrix(capsys, monkeypatch,
+                                                  spelling):
+    # any spelling of F4 runs the published cases, with their reference
+    # diagrams and constructible lists (here only the equal-weight case)
+    monkeypatch.setattr(cli, "_F4_CASES", (("equal", (1, 1, 1, 1)),))
+    monkeypatch.setattr(cli, "_F4_REFINEMENTS", ())
+    assert cli.main(["check", "--type", spelling]) == 0
+    assert capsys.readouterr().out.splitlines() == (
+        F4_CHECK_LINES.splitlines()[:4])
 
 
 def test_cli_check_reports_a_failed_line(capsys, monkeypatch):
@@ -545,6 +559,45 @@ def test_scan_post_condition_exits_1(tmp_path, capsys, monkeypatch):
     assert cli.main(["scan", "--type", "A3", "--out", str(out)]) == 2
     assert capsys.readouterr().err.splitlines() == [
         "error: scan requires exactly two generator classes"]
+    monkeypatch.undo()
+
+    # each remaining post-condition, planted in the top probe of I2:6,
+    # whose region is 1 < b/a < oo
+    real_open, real_validity = weights._open_regions, weights.validity_interval
+
+    def edit_top_region(**change):
+        def probe(sys, chart, swap, lo_bound, hi_bound, hint):
+            regions, hint, cover = real_open(sys, chart, swap, lo_bound,
+                                             hi_bound, hint)
+            if hi_bound is None:
+                regions[0] = replace(regions[0], **change)
+            return regions, hint, cover
+        return probe
+
+    calls = []
+
+    def bounded_top(space, members, num_coord):
+        # the top probe certifies its tables first
+        lo, hi, *binding = real_validity(space, members, num_coord)
+        calls.append(lo)
+        return lo, lo + 1 if len(calls) == 1 else hi, *binding
+
+    for name, fake, error in [
+            ("_open_regions", edit_top_region(lo=Fraction(25)),
+             "breakpoint 25 outside the theoretical range"),
+            ("_open_regions", edit_top_region(validity=(100, None)),
+             "region 1 < b/a < oo leaves its certificate [100, None]"),
+            ("_open_regions", edit_top_region(weight=(1, 1729)),
+             "region 1 < b/a < oo: representative weight (1, 1729) exceeds "
+             "1728"),
+            ("validity_interval", bounded_top,
+             "pure lex region is bounded above; unexpected")]:
+        with monkeypatch.context() as m:
+            m.setattr(weights, name, fake)
+            assert cli.main(["scan", "--type", "I2:6", "--jobs", "1",
+                             "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {error}"]
+        assert not out.exists()
 
 
 def test_scan_prints_failed_distinguished_reports(tmp_path, capsys,
