@@ -9,14 +9,16 @@ two-sided order is usually drawn; it is validated against the known
 dihedral and F4 cell counts in the test suite.
 
 Cell partitions are the strongly connected components of the edge
-digraph.  The block DAG is stored as a transitive reduction with edges
-pointing up the preorder (from the w0 side towards the identity side);
-closures are recomputed on demand.
+digraph, numbered by their least element.  The block DAG is stored as a
+transitive reduction with edges pointing up the preorder (from the w0
+side towards the identity side); closures are recomputed on demand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from .coxeter import orbits
 
 
 def left_edges(sys, mu):
@@ -30,7 +32,8 @@ def left_edges(sys, mu):
 
 
 def _strongly_connected(n, edges):
-    """Kosaraju's algorithm, iterative; returns the components as lists."""
+    """Kosaraju's algorithm: a forward depth-first search, then
+    ``orbits`` of the reversed digraph in reverse finishing order."""
     succ = [[] for _ in range(n)]
     pred = [[] for _ in range(n)]
     for a, b in edges:
@@ -48,28 +51,17 @@ def _strongly_connected(n, edges):
             else:
                 seen[u] = True
                 stack.append((u, iter(succ[u])))
-    comps = []
-    for root in reversed(finished):     # backward search; clears ``seen``
-        if seen[root]:
-            seen[root] = False
-            comp = [root]
-            for v in comp:              # comp grows while it is walked
-                for u in pred[v]:
-                    if seen[u]:
-                        seen[u] = False
-                        comp.append(u)
-            comps.append(comp)
-    return comps
+    return orbits(finished[::-1], pred.__getitem__)
 
 
 @dataclass
 class CellPartition:
     """Left/right/two-sided cells with the induced block DAG.
 
-    ``blocks`` are tuples of element indices, sorted by (length of
-    minimal element, minimal element index); ``reduction`` is the
-    transitive reduction of the block DAG with edges (a, b) meaning
-    block a <= block b in the left/two-sided preorder.
+    ``blocks`` are sorted tuples of element indices, in increasing order
+    of their least element; ``reduction`` is the transitive reduction of
+    the block DAG with edges (a, b) meaning block a <= block b in the
+    left/two-sided preorder.
     """
 
     blocks: tuple
@@ -97,11 +89,10 @@ class CellPartition:
 def partition_of_blocks(sys, blocks):
     """CellPartition of the given blocks, canonically numbered, no DAG.
 
-    Each block is sorted; blocks are ordered by the (length, index) pair
-    of their shortest element.
+    Each block is sorted; the blocks, being disjoint, sort by their least
+    element, which is least in (length, index) too (see ``coxeter``).
     """
-    blocks = sorted((tuple(sorted(b)) for b in blocks),
-                    key=lambda b: min((sys.length[v], v) for v in b))
+    blocks = sorted(tuple(sorted(b)) for b in blocks)
     block_of = [0] * sys.size
     for i, blk in enumerate(blocks):
         for w in blk:
@@ -205,7 +196,7 @@ def check_union_refinement(coarse, fine):
     return bad
 
 
-def dot_export(sys, partition, labels=None):
+def dot_export(partition, labels=None):
     """Graphviz DOT text of the condensation DAG (edges point up the order)."""
     lines = ["digraph cells {", "  rankdir=BT;"]
     for i, blk in enumerate(partition.blocks):

@@ -19,10 +19,12 @@ right Cayley table are derived from it.
 
 Elements are indexed 0..|W|-1, breadth-first by length and then
 lexicographically by the canonical (lexicographically minimal) reduced
-word; index 0 is the identity.  Every table, the conjugacy classes
-included, is computed by ``build_system``; a built system is a frozen
-value that nothing fills in later, so it can be shared between threads
-and pickled while another thread reads it.
+word; index 0 is the identity, and the least index of a set of elements
+is its least element in (length, index).  Every table is computed by
+``build_system``; a built system is a frozen value that nothing fills
+in later, so it can be shared between threads and pickled while
+another thread reads it.  Every partition, here and in ``cells``, is
+found by one walk, ``orbits``.
 """
 
 from __future__ import annotations
@@ -225,27 +227,29 @@ class _NumbersGame:
         return tuple(out)
 
 
-def _components(matrix, linked):
-    """Connected components of the generators under ``linked(m_ij)``,
-    each sorted, in order of their smallest generator."""
-    n = len(matrix)
-    seen = [False] * n
+def orbits(roots, neighbours):
+    """Components of the walk along ``neighbours(x)``, each sorted: each
+    root of ``roots``, a permutation of 0..n-1, that no earlier walk
+    reached starts one, so they come in the order of ``roots``."""
+    reached = [False] * len(roots)
     comps = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        comp = []
-        stack = [start]
-        seen[start] = True
-        while stack:
-            i = stack.pop()
-            comp.append(i)
-            for j in range(n):
-                if not seen[j] and linked(matrix[i][j]):
-                    seen[j] = True
-                    stack.append(j)
-        comps.append(sorted(comp))
+    for root in roots:
+        if not reached[root]:
+            reached[root] = True
+            comp = [root]
+            for x in comp:              # comp grows while it is walked
+                for y in neighbours(x):
+                    if not reached[y]:
+                        reached[y] = True
+                        comp.append(y)
+            comps.append(sorted(comp))
     return comps
+
+
+def _components(matrix, linked):
+    """Connected components of the generators under ``linked(m_ij)``."""
+    return orbits(range(len(matrix)), lambda i: [
+        j for j, m in enumerate(matrix[i]) if linked(m)])
 
 
 def _component_seeds(mat):
@@ -401,25 +405,13 @@ def generator_classes(matrix):
 
 
 def _conjugacy_classes(cayley_left, cayley_right):
-    """Orbits of x -> sxs, as :meth:`CoxeterSystem.conjugacy_classes`
-    lists them.  Indices are breadth-first by length, so the least index
-    of an orbit, where the scan meets it, is minimal in (length, index)."""
-    size = len(cayley_left[0])
-    assigned = [False] * size
-    classes = []
-    for start in range(size):
-        if assigned[start]:
-            continue
-        assigned[start] = True
-        orbit = [start]
-        for x in orbit:
-            for left_s, right_s in zip(cayley_left, cayley_right):
-                y = left_s[right_s[x]]
-                if not assigned[y]:
-                    assigned[y] = True
-                    orbit.append(y)
-        classes.append((start, tuple(sorted(orbit))))
-    return classes
+    """Orbits of x -> sxs as (least element, sorted members), as
+    :meth:`CoxeterSystem.conjugacy_classes` lists them; by the index
+    order the least element is minimal in (length, index)."""
+    pairs = list(zip(cayley_left, cayley_right))
+    return [(c[0], tuple(c)) for c in orbits(
+        range(len(cayley_left[0])),
+        lambda x: [left[right[x]] for left, right in pairs])]
 
 
 def build_system(spec, cap=DEFAULT_CAP):

@@ -357,7 +357,7 @@ def _write_entry(result, outdir):
         ])
         ts_labels = _two_sided_labels(result)
     with open(outdir / "two_sided.dot", "w", encoding="utf-8") as fh:
-        fh.write(cells_mod.dot_export(sys, result.two_sided, ts_labels))
+        fh.write(cells_mod.dot_export(result.two_sided, ts_labels))
         fh.write("\n")
 
     gamma = weights_mod.gamma_plus_W(data)
@@ -560,8 +560,8 @@ def write_scan(report, outdir, sys):
         (tmp / "scan.txt").write_text(scan_to_text(report), encoding="utf-8")
         for i, reg in enumerate(report.regions):
             tag = f"region_{i:02d}"
-            (tmp / f"{tag}.dot").write_text(cells_mod.dot_export(
-                sys, reg.two_sided) + "\n", encoding="utf-8")
+            (tmp / f"{tag}.dot").write_text(
+                cells_mod.dot_export(reg.two_sided) + "\n", encoding="utf-8")
             _dump_json(tmp / f"{tag}_cells.json", {
                 "interval": reg.interval_text(),
                 "weight": reg.weight,

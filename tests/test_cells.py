@@ -152,9 +152,24 @@ def test_property_l_detects_violations(i24):
     assert cells.check_property_L(sys, left, fake)
 
 
+@pytest.mark.parametrize("name,weight",
+                         [("B4", (5, 2, 2, 2)), ("I2:6", (2, 1))])
+def test_blocks_are_sorted_and_ordered_by_their_least_element(name, weight):
+    sys, data, left, edges, ts = run(name, weight)
+    for part in (left, cells.right_cells(sys, left), ts):
+        assert all(isinstance(b, tuple) and list(b) == sorted(b)
+                   for b in part.blocks)
+        least = [b[0] for b in part.blocks]
+        assert least == sorted(least)
+        # indices are breadth-first by length, so the two orders agree
+        assert least == sorted(least, key=lambda v: (sys.length[v], v))
+        assert all(part.block_of[w] == i
+                   for i, b in enumerate(part.blocks) for w in b)
+
+
 def test_dot_export():
     sys, data, left, edges, ts = run("A1", weight=(1,))
-    dot = cells.dot_export(sys, ts, labels=["triv", "sign"])
+    dot = cells.dot_export(ts, labels=["triv", "sign"])
     # the sign block (index 1, holding w0) sits below the trivial block
     assert "digraph" in dot and "b1 -> b0" in dot
     assert dot.count("->") == 1

@@ -6,13 +6,14 @@ from itertools import combinations
 import pytest
 
 from chargen import element_order
-from klcells import kl, pipeline
+from klcells import coxeter, kl, pipeline
 from klcells.coxeter import (
     CoxeterError,
     CoxeterSpec,
     EnumerationCapError,
     build_system,
     generator_classes,
+    orbits,
     parse_type,
 )
 
@@ -170,6 +171,11 @@ def test_generator_classes():
     assert system("A3").gen_classes == [[0, 1, 2]]
     assert system("B4").gen_classes == [[0], [1, 2, 3]]
     assert generator_classes(((1, 2), (2, 1))) == [[0], [1]]
+    assert system("D5").gen_classes == [[0, 1, 2, 3, 4]]    # a branch node
+    mat = parse_type("A2xA1xB2").matrix
+    assert generator_classes(mat) == [[0, 1], [2], [3], [4]]
+    # the diagram components that the group is built from
+    assert coxeter._components(mat, lambda m: m >= 3) == [[0, 1], [2], [3, 4]]
 
 
 def test_conjugacy_classes():
@@ -177,14 +183,34 @@ def test_conjugacy_classes():
     assert [len(c[1]) for c in system("A1").conjugacy_classes()] == [1, 1]
     assert len(system("I2:4").conjugacy_classes()) == 5
     assert len(system("F4").conjugacy_classes()) == 25
-    # orbit closure agrees with brute-force conjugation on a small group
-    sys = system("I2:4")
-    for rep, members in sys.conjugacy_classes():
-        brute = {sys.mult(sys.mult(g, rep), sys.inverse[g])
-                 for g in range(sys.size)}
-        assert brute == set(members)
+    # orbit closure agrees with brute-force conjugation; representatives
+    # are least in (length, index) and the identity's class comes first
+    for name in ("I2:4", "B4", "F4"):
+        sys = system(name)
+        classes = sys.conjugacy_classes()
+        assert classes[0] == (0, (0,))
+        key = [(sys.length[v], v) for v in range(sys.size)]
+        reps = [key[rep] for rep, _ in classes]
+        assert reps == sorted(reps)
+        for rep, members in classes:
+            assert rep == min(members, key=key.__getitem__)
+            brute = {sys.mult(sys.mult(g, rep), sys.inverse[g])
+                     for g in range(sys.size)}
+            assert brute == set(members)
     sizes = [len(c[1]) for c in system("B3").conjugacy_classes()]
     assert sum(sizes) == 48
+
+
+def test_orbits_are_the_components_in_the_order_of_the_roots():
+    # 0 reaches 2 only through 4, so the walk meets 2 last
+    edges = [(4, 0), (2, 4), (5, 1), (6, 3)]
+    adj = {v: [] for v in range(7)}
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    comps = [[0, 2, 4], [1, 5], [3, 6]]
+    assert orbits(range(7), adj.__getitem__) == comps
+    assert orbits(range(6, -1, -1), adj.__getitem__) == comps[::-1]
 
 
 def test_a_run_leaves_the_system_unchanged():
