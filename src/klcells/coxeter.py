@@ -9,7 +9,7 @@ component of the diagram:
   for any bond order m;
 * every other component plays the numbers game on rho = (1, ..., 1)
   with coordinates a + b*phi in the golden-ratio ring (phi^2 = phi + 1),
-  which covers bonds within {2,3,4,6} or within {2,3,5}.
+  which covers bonds within {2,3,4} or within {2,3,5}.
 
 By the classification of finite Coxeter groups, any other connected
 shape of rank >= 3 is infinite and is rejected up front.  Reducible
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import re
+import sys
 from dataclasses import dataclass
 
 
@@ -48,94 +49,61 @@ DEFAULT_CAP = 20000
 # ---------------------------------------------------------------------------
 # presets
 
-_PRESET_RE = re.compile(r"^([A-Za-z]+)\s*[_]?\s*(\d+)?(?:[:(]\s*(\d+)\s*\)?)?$")
+# The finite irreducible families by letter: the ranks n; the bonds along
+# the chain of generators 0..n-2, the leading ones given and 3 after them
+# ("m" is I's bond order); the generator that the last one hangs from, as
+# an index (-2 on a chain); and the numerator generator of ratio scans,
+# whose weight is the independent one (None: no two-class convention).
+_FAMILIES = {
+    "A": (range(1, sys.maxsize), (), -2, None),
+    "B": (range(2, sys.maxsize), (4,), -2, 0),
+    "D": (range(3, sys.maxsize), (), -3, None),
+    "E": ((6, 7, 8), (), 2, None),
+    "F": ((4,), (3, 4, 3), -2, 2),
+    "G": ((2,), (6,), -2, 1),
+    "H": ((3, 4), (5,), -2, None),
+    "I": ((2,), ("m",), -2, 1),
+}
+_FAMILIES["C"] = _FAMILIES["B"]
 
-
-def coxeter_matrix_for_preset(name):
-    """Coxeter matrix and scan metadata for a single preset factor.
-
-    Returns ``(matrix, numerator_gen)`` where ``numerator_gen`` is the
-    generator index whose weight plays the numerator role in ratio
-    scans (None when there is no distinguished two-class convention).
-    """
-    m = _PRESET_RE.match(name.strip())
-    if not m:
-        raise CoxeterError(f"cannot parse Coxeter type {name!r}")
-    fam = m.group(1).upper()
-    n = int(m.group(2)) if m.group(2) else None
-    extra = int(m.group(3)) if m.group(3) else None
-
-    def chain(n, bonds):
-        mat = [[2] * n for _ in range(n)]
-        for i in range(n):
-            mat[i][i] = 1
-        for i, b in enumerate(bonds):
-            mat[i][i + 1] = mat[i + 1][i] = b
-        return mat
-
-    if fam == "A":
-        if not n or n < 1:
-            raise CoxeterError("A_n needs n >= 1")
-        return chain(n, [3] * (n - 1)), None
-    if fam in ("B", "C"):
-        if not n or n < 2:
-            raise CoxeterError("B_n needs n >= 2")
-        # generator 0 is the short-bond end carrying the independent weight
-        return chain(n, [4] + [3] * (n - 2)), 0
-    if fam == "D":
-        if not n or n < 3:
-            raise CoxeterError("D_n needs n >= 3")
-        mat = chain(n, [3] * (n - 1))
-        mat[n - 1][n - 2] = mat[n - 2][n - 1] = 2
-        mat[n - 1][n - 3] = mat[n - 3][n - 1] = 3
-        return mat, None
-    if fam == "E":
-        if n not in (6, 7, 8):
-            raise CoxeterError("E_n needs n in {6,7,8}")
-        mat = chain(n, [3] * (n - 1))
-        # branch node: relocate the last generator onto position 2
-        mat[n - 1][n - 2] = mat[n - 2][n - 1] = 2
-        mat[n - 1][2] = mat[2][n - 1] = 3
-        return mat, None
-    if fam == "F":
-        if n not in (None, 4):
-            raise CoxeterError("only F_4 exists")
-        return chain(4, [3, 4, 3]), 2
-    if fam == "G":
-        if n not in (None, 2):
-            raise CoxeterError("only G_2 exists")
-        return chain(2, [6]), 1
-    if fam == "H":
-        if n not in (3, 4):
-            raise CoxeterError("H_n needs n in {3,4}")
-        return chain(n, [5] + [3] * (n - 2)), None
-    if fam == "I":
-        order = extra
-        if order is None or order < 2:
-            raise CoxeterError("I_2(m) needs m >= 2, written I2:m or I_2(m)")
-        return chain(2, [order]), 1
-    raise CoxeterError(f"unknown Coxeter family {fam!r}")
+# a letter; its rank directly, after "_" or spaces, or as "(n)"; then, for
+# I only, its bond order as ":m" or "(m)"
+_FACTOR = re.compile(r"([A-Z])[\s_]*(\d*)\s*(?:\(\s*(\d+)\s*\)|:\s*(\d+))?")
+_TYPES = ("the types are An (n >= 1), Bn = Cn (n >= 2), Dn (n >= 3), E6, E7, "
+          "E8, F4, G2, H3, H4 and I2:m (m >= 2), joined by x")
 
 
 def parse_type(text):
-    """Parse a type string like ``F4``, ``I2:6``, ``B4`` or ``A2xA1``."""
-    factors = [f for f in re.split(r"[xX*]", text) if f.strip()]
-    mats, nums = [], []
-    for f in factors:
-        mat, num = coxeter_matrix_for_preset(f)
-        nums.append(num if num is None else num + sum(len(m) for m in mats))
-        mats.append(mat)
-    total = sum(len(m) for m in mats)
-    big = [[2] * total for _ in range(total)]
-    off = 0
-    for mat in mats:
-        k = len(mat)
-        for i in range(k):
-            for j in range(k):
-                big[off + i][off + j] = mat[i][j]
-        off += k
-    numerator = next((x for x in nums if x is not None), None)
-    return CoxeterSpec(matrix=tuple(tuple(r) for r in big), name=text,
+    """The system named by a type string: factors such as ``A3``, ``B_4``,
+    ``F(4)``, ``G`` or ``I2:6`` (``I_2(6)``, ``I(6)``), case ignored,
+    joined by ``x`` or ``*`` (``A2xA1``).  Any other string raises
+    ``CoxeterError``, among them a rank the family lacks and a second
+    number on a family other than I."""
+    bonds, rank, numerator = [], 0, None
+    for factor in re.split(r"[xX*]", text):
+        found = _FACTOR.fullmatch(factor.strip().upper())
+        if not found or found[1] not in _FAMILIES:
+            raise CoxeterError(f"no finite Coxeter type {factor!r}; {_TYPES}")
+        ranks, lead, hang, num = _FAMILIES[found[1]]
+        n, paren, m = found[2], found[3], found[4]
+        if "m" in lead or n:    # "(m)" is I's bond order, or a second number
+            m = m or paren
+        else:                   # "F(4)"
+            n = paren
+        n = int(n) if n else ranks[0] if len(ranks) == 1 else 0
+        if n not in ranks or ("m" in lead) != bool(m) or m and int(m) < 2:
+            raise CoxeterError(f"no finite Coxeter type {factor!r}; {_TYPES}")
+        chain = [int(m) if b == "m" else b for b in lead] + [3] * n
+        for j in range(1, n):
+            i = j - 1 if j < n - 1 else hang % n
+            bonds.append((rank + i, rank + j, chain[j - 1]))
+        if numerator is None and num is not None:
+            numerator = rank + num
+        rank += n
+    mat = [[1 if i == j else 2 for j in range(rank)] for i in range(rank)]
+    for i, j, bond in bonds:
+        mat[i][j] = mat[j][i] = bond
+    return CoxeterSpec(matrix=tuple(map(tuple, mat)), name=text,
                        numerator_gen=numerator)
 
 
@@ -192,7 +160,7 @@ class _DihedralSeed:
 
 
 # c_ij * c_ji = 4cos^2(pi/m) as a + b*phi, with phi^2 = phi + 1
-_BOND_PRODUCT = {3: (1, 0), 4: (2, 0), 5: (1, 1), 6: (3, 0)}
+_BOND_PRODUCT = {3: (1, 0), 4: (2, 0), 5: (1, 1)}
 
 
 class _NumbersGame:
@@ -267,7 +235,7 @@ def _component_seeds(mat):
                 f"connected component {comp} contains a diagram cycle; "
                 "finite Coxeter diagrams are trees, so the group is infinite"
             )
-        elif bonds <= {3, 4, 6} or bonds <= {3, 5}:
+        elif bonds <= {3, 4} or bonds <= {3, 5}:
             seeds.append((comp, _NumbersGame(sub)))
         else:
             raise CoxeterError(

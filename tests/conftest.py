@@ -4,6 +4,15 @@ from klcells import coxeter
 
 _CACHE = {}
 
+# type strings that name no finite Coxeter group: a rank the family lacks,
+# a bond order or a second number on a family other than I, a stray or
+# missing parenthesis, an unknown letter, an empty factor
+REFUSED_TYPES = [
+    "I7:5", "A3:7", "F4:2", "E6:1", "B4(3)", "H3(9)", "I2(5", "I2:6)",
+    "Z9", "I2", "I2:1", "A0", "B1", "D2", "E9", "F5", "G3", "H5", "E",
+    "I(1)", "F0", "A2x", "",
+]
+
 
 def system(name):
     """Built systems are immutable; share them across the whole session."""

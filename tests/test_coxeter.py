@@ -17,7 +17,7 @@ from klcells.coxeter import (
     parse_type,
 )
 
-from conftest import system
+from conftest import REFUSED_TYPES, system
 
 
 @pytest.mark.parametrize("name,size,lw0", [
@@ -271,6 +271,10 @@ def test_validation_errors():
     with pytest.raises(CoxeterError):
         # diagram cycle
         build_system(CoxeterSpec(matrix=((1, 3, 3), (3, 1, 3), (3, 3, 1))))
+    # a 6-bond lies in no finite group of rank >= 3: affine G2 is refused
+    # by its bond orders before any element is enumerated
+    with pytest.raises(CoxeterError, match=r"bond orders \[3, 6\] is infinite"):
+        build_system(CoxeterSpec(matrix=((1, 6, 2), (6, 1, 3), (2, 3, 1))))
 
 
 def test_products_and_presets():
@@ -282,6 +286,79 @@ def test_products_and_presets():
     assert parse_type("F4").numerator_gen == 2
     assert parse_type("B4").numerator_gen == 0
     assert parse_type("I2:6").numerator_gen == 1
+
+
+def _bonds(spec):
+    """The bonds m_ij >= 3 of a spec as {(i, j): m_ij} with i < j; with
+    the rank they fix the matrix, whose other entries are 1 and 2."""
+    mat = spec.matrix
+    return {(i, j): mat[i][j] for i in range(spec.rank)
+            for j in range(i + 1, spec.rank) if mat[i][j] >= 3}
+
+
+# (rank, bonds, numerator_gen), written out by hand: the branch node of
+# D_n is n-3 and that of E_n is 2
+PINNED_TYPES = {
+    "A1": (1, {}, None),
+    "A3": (3, {(0, 1): 3, (1, 2): 3}, None),
+    "B3": (3, {(0, 1): 4, (1, 2): 3}, 0),
+    "B4": (4, {(0, 1): 4, (1, 2): 3, (2, 3): 3}, 0),
+    "D3": (3, {(0, 1): 3, (0, 2): 3}, None),
+    "D4": (4, {(0, 1): 3, (1, 2): 3, (1, 3): 3}, None),
+    "D5": (5, {(0, 1): 3, (1, 2): 3, (2, 3): 3, (2, 4): 3}, None),
+    "E6": (6, {(0, 1): 3, (1, 2): 3, (2, 3): 3, (3, 4): 3, (2, 5): 3}, None),
+    "E7": (7, {(0, 1): 3, (1, 2): 3, (2, 3): 3, (3, 4): 3, (4, 5): 3,
+               (2, 6): 3}, None),
+    "F4": (4, {(0, 1): 3, (1, 2): 4, (2, 3): 3}, 2),
+    "G2": (2, {(0, 1): 6}, 1),
+    "H3": (3, {(0, 1): 5, (1, 2): 3}, None),
+    "H4": (4, {(0, 1): 5, (1, 2): 3, (2, 3): 3}, None),
+    "I2:2": (2, {}, 1),
+    "I2:5": (2, {(0, 1): 5}, 1),
+    "I2:6": (2, {(0, 1): 6}, 1),
+    "A2xA1": (3, {(0, 1): 3}, None),
+    "A1xB2": (3, {(1, 2): 4}, 1),
+    "I2:7xA1": (3, {(0, 1): 7}, 1),
+    "A1xB2xG2": (5, {(1, 2): 4, (3, 4): 6}, 1),
+}
+
+# other spellings of the types above
+SPELLINGS = {
+    "F": "F4", "F(4)": "F4", "F( 4 )": "F4", "F 4": "F4", " f4 ": "F4",
+    "G": "G2", "G(2)": "G2", "I_2(5)": "I2:5", "I:5": "I2:5",
+    "I(6)": "I2:6", "I2(6)": "I2:6", "I2: 6": "I2:6", "I2( 6 )": "I2:6",
+    "I_2:6": "I2:6", "b_3": "B3", "C3": "B3", "B_4": "B4", "B(4)": "B4",
+    "A03": "A3", "A2XA1": "A2xA1", "A2*A1": "A2xA1", "A1 x B2": "A1xB2",
+}
+
+
+@pytest.mark.parametrize("text", [*PINNED_TYPES, *SPELLINGS])
+def test_type_strings_name_pinned_matrices(text):
+    spec = parse_type(text)
+    assert (spec.rank, _bonds(spec), spec.numerator_gen) == \
+        PINNED_TYPES[SPELLINGS.get(text, text)]
+    assert spec.name == text
+
+
+# sha256 of repr([(matrix, numerator_gen)]) over FAMILY_NAMES
+FAMILY_NAMES = (
+    [f"{f}{n}" for f, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
+     for n in range(lo, 9)] + ["E6", "E7", "E8", "F4", "G2", "H3", "H4"]
+    + [f"I2:{m}" for m in range(2, 13)] + ["A2xA1", "I2:7xA1", "A1xB2"])
+FAMILY_DIGEST = \
+    "b5dd067665e965bc12cbafc6787d668fba7c72fdb6451d14aa6677e59717a89b"
+
+
+def test_every_family_up_to_rank_8_is_pinned():
+    blob = repr([(parse_type(s).matrix, parse_type(s).numerator_gen)
+                 for s in FAMILY_NAMES])
+    assert hashlib.sha256(blob.encode()).hexdigest() == FAMILY_DIGEST
+
+
+@pytest.mark.parametrize("text", REFUSED_TYPES)
+def test_type_strings_naming_no_finite_group_are_refused(text):
+    with pytest.raises(CoxeterError, match="no finite Coxeter type"):
+        parse_type(text)
 
 
 def test_summary(b3):

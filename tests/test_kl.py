@@ -737,3 +737,20 @@ def test_lemma_m_reports_bar_and_support_violations():
     rep = kl.check_lemma_m(replace(data, mu=mu))
     assert sorted(rep.violations) == [("bar", *first), ("support", *second)]
     assert rep.checked == len(mu) - 1
+
+
+def test_bound_check_reports_an_m_entry():
+    sys = system("B3")
+    data = kl.compute_kl(sys, *kl.weight_params(sys, (2, 1, 1))[1:])
+    key = next(iter(data.mu))
+    bad = replace(data, mu={**data.mu,
+                            key: {**data.mu[key], data.space.pack((-13,)): 1}})
+    assert kl.check_bounds(bad).violations == [(("M",) + key, (-13,))]
+
+
+def test_parameters_that_differ_on_a_generator_class_are_refused():
+    sys = system("B3")          # generator classes [0] and [1, 2]
+    _, params, order = kl.weight_params(sys, (2, 1, 1))
+    kl.validate_params(sys, params, order)
+    with pytest.raises(ValueError, match=r"differ on generator class \[1, 2\]"):
+        kl.validate_params(sys, (params[0], params[1], params[0]), order)

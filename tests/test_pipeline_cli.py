@@ -15,7 +15,7 @@ import pytest
 from klcells import cells, cli, kl, pipeline, reps, weights
 from klcells.laurent import MonomialOrder
 
-from conftest import system
+from conftest import REFUSED_TYPES, system
 
 
 def tree_digest(root):
@@ -795,3 +795,99 @@ def test_cross_check_violation_exits_1(tmp_path, capsys, monkeypatch):
     assert "check [weight-vs-order cross-check] 2 checked, " \
            "2 violation(s)" in capsys.readouterr().out
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("text", REFUSED_TYPES)
+def test_type_naming_no_finite_group_exits_2_before_any_table(
+        tmp_path, capsys, monkeypatch, text):
+    # "A3:7" is not W(A3): a part of the string that names nothing is
+    # refused, not dropped
+    def fail(*args, **kwargs):
+        raise RuntimeError("compute_kl ran")
+
+    monkeypatch.setattr(pipeline.kl_mod, "compute_kl", fail)
+    out = str(tmp_path / "runs")
+    for argv in (["compute", "--weight", "1,1,1", "--out", out],
+                 ["scan", "--chars", "--out", out], ["check"]):
+        assert cli.main([*argv, "--type", text]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: no finite Coxeter type ")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["--type", "B3", "--order", "1,0;0,1"],
+    ["--type", "A3", "--weight", "1,1,1"],
+], ids=["order", "one-class"])
+def test_cross_check_needs_a_weight_on_two_classes(tmp_path, capsys, argv):
+    assert cli.main(["compute", *argv, "--cross-check",
+                     "--out", str(tmp_path)]) == 0
+    assert "check [weight-vs-order cross-check] inconclusive: needs a " \
+           "weight run on a system with two generator classes" \
+           in capsys.readouterr().out
+    entry, = tmp_path.iterdir()
+    rep = json.loads((entry / "meta.json").read_text())["reports"][
+        "cross_check"]
+    assert rep["notes"]["certified_orders"] == "0"
+
+
+def test_export_all_copies_every_present_file(tmp_path, capsys):
+    out = tmp_path / "runs"
+    assert cli.main(["compute", "--type", "I2:4", "--weight", "2,1",
+                     "--out", str(out)]) == 0
+    entry, = out.iterdir()
+    dest = tmp_path / "exp"
+    assert cli.main(["export", "--archive", str(entry),
+                     "--dest", str(dest)]) == 0
+    assert capsys.readouterr().out.endswith(f" -> {dest}\n")
+    assert sorted(p.name for p in dest.iterdir()) == \
+        sorted(p.name for p in entry.iterdir())
+    for path in dest.iterdir():
+        assert path.read_bytes() == (entry / path.name).read_bytes()
+
+
+def test_export_or_dump_of_a_missing_file_exits_2(tmp_path, capsys):
+    entry = tmp_path / "entry"
+    entry.mkdir()
+    (entry / "ptable.tsv").write_text("e\te\t1\n")
+    for argv, message in (
+            (["export", "--archive", str(tmp_path / "gone"),
+              "--dest", str(tmp_path / "exp")], "does not exist"),
+            (["dump", "--archive", str(entry), "--table", "mu"],
+             "mutable.tsv does not exist")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["entry"]
+
+
+def test_scan_chars_without_a_bundled_table_exits_2(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["scan", "--type", "I2:10", "--chars",
+                  "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == \
+        "klcells: error: no bundled character table for I2:10"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_oracle_that_differs_in_one_entry_exits_1(tmp_path, capsys,
+                                                  monkeypatch):
+    oracle_kl = kl.oracle_kl
+
+    def changed(sys, params, order):
+        data = oracle_kl(sys, params, order)
+        rows = list(data.rows)
+        rows[sys.longest] = {**rows[sys.longest], 0: {order.space.one: 7}}
+        return replace(data, rows=rows)
+
+    monkeypatch.setattr(kl, "oracle_kl", changed)
+    assert cli.main(["compute", "--type", "B3", "--weight", "2,1,1",
+                     "--checks", "oracle", "--out", str(tmp_path)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "check [oracle] 48 checked, 1 violation(s)" in out
+    entry, = tmp_path.iterdir()
+    rep = json.loads((entry / "meta.json").read_text())["reports"]["oracle"]
+    assert rep["violations"] == ["'tables differ'"]

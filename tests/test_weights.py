@@ -677,3 +677,43 @@ def test_scan_tiles_the_ratio_line(tmp_path, capsys, name):
     assert scan["mirrored"] == (name != "A1xA2")
     if scan["mirrored"]:
         assert {1 / b for b in breakpoints} == breakpoints
+
+
+def _with_p1(data, w, p):
+    """A copy of ``data`` whose P*_{1,w} is ``p``."""
+    rows = list(data.rows)
+    rows[w] = {**rows[w], 0: p}
+    return replace(data, rows=rows)
+
+
+def test_distinguished_involution_faults_are_reported():
+    sys = system("B3")
+    data = kl.compute_kl(sys, *kl.weight_params(sys, (2, 1, 1))[1:])
+    left, _ = cells.left_cells(sys, data.mu)
+    report = weights.distinguished_involutions(data, left)
+    assert report.ok
+    mins, key = [e["d"] for e in report.per_cell], data.order.key
+    # a second minimizer: P*_{1,d} copied to a later element of d's cell
+    ci, d, w = next((ci, d, w) for ci, d in enumerate(mins)
+                    for w in left.blocks[ci] if w > d)
+    rep = weights.distinguished_involutions(
+        _with_p1(data, w, data.rows[d][0]), left)
+    assert rep.violations == [("non-unique minimizer", ci,
+                               [sys.word_text(d), sys.word_text(w)])]
+    # a non-involution whose P*_{1,w} has a higher top monomial than d's
+    ci, d, w = next((ci, d, w) for ci, d in enumerate(mins)
+                    for w in left.blocks[ci] if sys.mult(w, w) != 0)
+    top = max(data.rows[d][0], key=key)
+    higher = data.space.pack((data.space.unpack(top)[0] + 1,))
+    assert key(higher) > key(top)
+    rep = weights.distinguished_involutions(_with_p1(data, w, {higher: 1}),
+                                            left)
+    assert rep.violations == [("minimizer not an involution", ci,
+                               sys.word_text(w))]
+    # a leading coefficient of 2: P*_{1,d} doubled
+    ci, d = 1, mins[1]
+    p = data.rows[d][0]
+    rep = weights.distinguished_involutions(
+        _with_p1(data, d, {m: 2 * c for m, c in p.items()}), left)
+    assert rep.violations == [("leading coefficient not a unit", ci,
+                               2 * p[max(p, key=key)])]
