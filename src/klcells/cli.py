@@ -97,6 +97,7 @@ def _refuse_file(parser, path):
 
 
 def cmd_compute(args, parser):
+    parse_type(args.type)       # no cache entry serves a refused type
     config = _run_config_from_args(args)
     entry = Path(args.out) / config.key()
     _refuse_file(parser, entry)

@@ -386,56 +386,54 @@ def build_system(spec, cap=DEFAULT_CAP):
     """Enumerate the group and build all tables.
 
     Raises :class:`EnumerationCapError` when more than ``cap`` elements
-    are found (the default cap fails fast on infinite specs).
+    are found (the default cap fails fast on infinite specs), and before
+    any product when the rank n has 2^n > ``cap``: the products of
+    distinct generators in a fixed order are 2^n distinct elements.
     """
     if isinstance(spec, str):
         spec = parse_type(spec)
     mat = spec.matrix
     n = spec.rank
+    if 2 ** n > cap:
+        raise EnumerationCapError(
+            f"rank {n}: at least 2^{n} elements, more than {cap}")
     seeds = _component_seeds(mat)
-    place = [None] * n          # generator -> (component, local index)
-    for ci, (comp, _) in enumerate(seeds):
+    place = [None] * n          # g -> (component, local index, action)
+    for ci, (comp, seed) in enumerate(seeds):
         for li, g in enumerate(comp):
-            place[g] = (ci, li)
+            place[g] = (ci, li, seed.act)
     identity = tuple(seed.identity for _, seed in seeds)
 
-    def left_mul(g, elem):
-        ci, li = place[g]
-        parts = list(elem)
-        parts[ci] = seeds[ci][1].act(li, elem[ci])
-        return tuple(parts)
-
-    # BFS by length; canonical word = min over (letter, canonical word of
-    # the element it multiplies), which yields the lex-least reduced word.
+    # Breadth-first by length, g outer and w inner: within a level the
+    # index order is the lex order of the words, so the candidates
+    # (g,) + words[w] come in lex order, and the first one to reach an
+    # element is its lex-least reduced word and gives it the next index.
     index_of = {identity: 0}
     words = [()]
-    left = []                   # left[w][g] = index of g*w
-    level = [identity]
+    cayley_left = [[] for _ in range(n)]    # cayley_left[g][w] = index of g*w
+    level, first = [identity], 0
     while level:
-        first = len(words) - len(level)
-        images = [[left_mul(g, elem) for g in range(n)] for elem in level]
-        nxt = {}
-        for w, row in enumerate(images, first):
-            for g, new in enumerate(row):
-                if new in index_of:
-                    continue
-                cand = (g,) + words[w]
-                old = nxt.get(new)
-                if old is None or cand < old:
-                    nxt[new] = cand
-        if len(index_of) + len(nxt) > cap:
-            raise EnumerationCapError(
-                f"more than {cap} elements; group is infinite or cap too low"
-            )
-        level = sorted(nxt, key=nxt.get)
-        for elem in level:
-            index_of[elem] = len(words)
-            words.append(nxt[elem])
-        left.extend([index_of[x] for x in row] for row in images)
+        nxt = []
+        for g, row in enumerate(cayley_left):
+            ci, li, act = place[g]
+            for w, elem in enumerate(level, first):
+                parts = list(elem)
+                parts[ci] = act(li, elem[ci])
+                new = tuple(parts)
+                x = index_of.get(new)
+                if x is None:
+                    if len(words) == cap:
+                        raise EnumerationCapError(
+                            f"more than {cap} elements; group is infinite "
+                            "or cap too low")
+                    x = index_of[new] = len(words)
+                    words.append((g,) + words[w])
+                    nxt.append(new)
+                row.append(x)
+        level, first = nxt, first + len(level)
 
     size = len(words)
     lengths = [len(word) for word in words]
-    cayley_left = [list(col) for col in zip(*left)]
     inverse = [0] * size
     for w, word in enumerate(words):
         x = 0
@@ -446,9 +444,7 @@ def build_system(spec, cap=DEFAULT_CAP):
     cayley_right = [[inverse[row[inverse[w]]] for w in range(size)]
                     for row in cayley_left]
 
-    maxlen = lengths[-1]
-    longest_candidates = [w for w in range(size) if lengths[w] == maxlen]
-    if len(longest_candidates) != 1:
+    if lengths[-2] == lengths[-1]:      # the last level holds w0 alone
         raise CoxeterError("no unique longest element; group not finite?")
     classes = generator_classes(mat)
     class_of_gen = [0] * n
@@ -465,7 +461,7 @@ def build_system(spec, cap=DEFAULT_CAP):
         cayley_right=cayley_right,
         cayley_left=cayley_left,
         inverse=inverse,
-        longest=longest_candidates[0],
+        longest=size - 1,
         gen_classes=classes,
         class_of_gen=class_of_gen,
         conj_classes=_conjugacy_classes(cayley_left, cayley_right),

@@ -61,15 +61,50 @@ TABLE_DIGESTS = {
     "H3": "f057298128fb4fa6348593f654b145f407d8b0019adf2ceb3e91e0219187ef51",
     "I2:8": "8c1db33d07b8ce3632cc7551568ad37f8a0e2bf64782d720d07e59a449604fe6",
     "A2xA1": "ef08267ee02007d6ea93e251cb3982d75a027c5790e3fd129163e9b5359e87b8",
+    "B5": "dba18c1979de5e17d5bf5614cb906a9323e6f7f1f7a72486f8366aa31db3d157",
+    "D5": "ea4309464b2123d43f0556685088ea28c39dd29981bdda4bfe59ae86196fe2ca",
+    "H4": "022e726937dc10fab9bd2a0928281302df8535fb6082518330ee842b04fcb61a",
+    "I2:7xA1": "4cba3434f4c3a78f3f311a7d8d6bbda423e674b899c66d97f051b1bc90c0c4c0",
+    "B3xI2:5": "8312e876f9801ea00dba4562cbd1ce3c14ffa4816b0642db06ca2e8e4c8d6b7b",
 }
+
+
+def table_digest(sys):
+    blob = repr((sys.words, sys.cayley_left, sys.cayley_right,
+                 sys.inverse)).encode()
+    return hashlib.sha256(blob).hexdigest()
 
 
 def test_element_numbering_is_pinned():
     for name, digest in TABLE_DIGESTS.items():
-        sys = system(name)
-        blob = repr((sys.words, sys.cayley_left, sys.cayley_right,
-                     sys.inverse)).encode()
-        assert hashlib.sha256(blob).hexdigest() == digest, name
+        assert table_digest(system(name)) == digest, name
+
+
+def test_b6_numbering_is_pinned():
+    # 46,080 elements: above the default cap
+    sys = build_system("B6", cap=50000)
+    assert sys.size == 46080
+    assert table_digest(sys) == \
+        "aafea73e3f2df25978b0d3a2b71d418ba6bafd3a6aa4b8fb0db5a7d41ae8a7b3"
+
+
+def test_rank_the_cap_cannot_hold_is_refused_before_any_product(
+        monkeypatch):
+    # 2^15 distinct products of distinct generators exceed 20,000
+    def fail(*args):
+        raise RuntimeError("a product was computed")
+
+    monkeypatch.setattr(coxeter._NumbersGame, "act", fail)
+    with pytest.raises(EnumerationCapError, match="rank 15:"):
+        build_system("A15")
+    with pytest.raises(RuntimeError):
+        build_system("A14")     # 2^14 <= 20,000: the walk starts
+
+
+def test_cap_is_the_largest_size_built():
+    with pytest.raises(EnumerationCapError):
+        build_system("A5", cap=719)
+    assert build_system("A5", cap=720).size == 720
 
 
 def test_length_histogram_symmetric():

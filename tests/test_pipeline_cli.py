@@ -816,6 +816,31 @@ def test_type_naming_no_finite_group_exits_2_before_any_table(
     assert list(tmp_path.iterdir()) == []
 
 
+def test_cache_entry_of_a_refused_type_is_not_served(tmp_path, capsys):
+    # an entry written for "A3:7" before the string was refused
+    entry = tmp_path / pipeline.RunConfig("A3:7", weight=(1, 1, 1)).key()
+    entry.mkdir()
+    meta = json.dumps({"reports": {"lemma_p": {
+        "name": "lemma P", "checked": 1, "violations": []}}})
+    (entry / "meta.json").write_text(meta)
+    assert cli.main(["compute", "--type", "A3:7", "--weight", "1,1,1",
+                     "--out", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert "cached" not in out
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == [entry]
+    assert list(entry.iterdir()) == [entry / "meta.json"]
+    assert (entry / "meta.json").read_text() == meta
+
+
+def test_rank_above_the_cap_exits_2_and_writes_no_archive(tmp_path, capsys):
+    assert cli.main(["compute", "--type", "A20", "--weight",
+                     ",".join(["1"] * 20), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: rank 20: ")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv", [
     ["--type", "B3", "--order", "1,0;0,1"],
     ["--type", "A3", "--weight", "1,1,1"],
