@@ -254,7 +254,7 @@ def build_parser():
     p.add_argument("--checks", "--check", default="lemmas,bounds",
                    help=f"comma list from {','.join(pipeline.CHECKS)}")
     p.add_argument("--cross-check", action="store_true",
-                   help="verify the weight run against certified order runs")
+                   help="check the weight run against one certified order run")
     p.add_argument("--out", default="runs", help="archive root directory")
     p.add_argument("--force", action="store_true",
                    help="recompute even when a cached archive entry exists")

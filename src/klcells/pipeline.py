@@ -84,7 +84,7 @@ class RunResult(weights_mod.Analysis):
 
     @property
     def ok(self):
-        return all(getattr(r, "ok", True) for r in self.reports.values())
+        return all(r.ok for r in self.reports.values())
 
 
 def chart_for(sys):
@@ -162,43 +162,37 @@ def run_pipeline(config, sys=None):
 
 
 def _cross_check_weight(sys, config, weight_data):
-    """Compare the weight run against order-mode runs at the same ratio.
+    """Compare the weight run against the order run at the same ratio.
 
-    Builds the weighted order with the weight's own functional and each
-    tiebreak in turn; whenever the star condition certifies the
-    specialization, the tables must agree entrywise.  The two order runs
-    have the same parameters, so the tie-1 run takes the rows it can from
-    the tie-0 run (``kl.compute_kl`` with ``base``); neither takes rows
-    from the weight run, which they check; of that run only the rows and
-    the M-table are read.  A cross-check that certifies no order compared
-    nothing and is reported as inconclusive, not as a pass.
+    The order is the weight's functional, ties broken by class 0, and is
+    certified as a scan probe is: if the ratio lies inside the validity
+    interval of its Γ, the tables must agree entrywise.  The other
+    tiebreak adds nothing: under the functional alone every member of a
+    certified Γ is positive, so these entries meet that order's defining
+    conditions too and, C_w being unique, are its tables with the same Γ;
+    an uncertified Γ is so for both.  Of the weight run only the rows and
+    the M-table are read.  A check that certifies no order is inconclusive.
     """
     report = kl_mod.CheckReport("weight-vs-order cross-check")
+    report.notes["certified_orders"] = 0
     if config.weight is None or len(sys.gen_classes) != 2:
-        report.notes["certified_orders"] = 0
         report.inconclusive = ("needs a weight run on a system with two "
                                "generator classes")
         return report
     cw = weights_mod.class_weights_of(sys, config.weight)
     space, params = kl_mod.class_params(sys)
-    first = kl_mod.compute_kl(sys, params,
+    odata = kl_mod.compute_kl(sys, params,
                               weights_mod.weighted_order(space, cw, 0))
-    second = kl_mod.compute_kl(sys, params, weights_mod.weighted_order(
-        space, cw, 1), base=first)
-    certified = 0
-    for odata in (first, second):
-        gamma = weights_mod.gamma_plus_W(odata)
-        ok, _ = weights_mod.check_star(space, cw, gamma)
-        if not ok:
-            continue
-        certified += 1
-        sub = weights_mod.specialization_consistency(odata, weight_data, cw,
-                                                     gamma)
-        report.checked += sub.checked
-        report.violations.extend(sub.violations)
-    report.notes["certified_orders"] = certified
-    if not certified:
+    num = weights_mod.numerator_coord(sys)
+    ratio = Fraction(cw[num], cw[1 - num])
+    lo, hi, *_ = weights_mod.validity_interval(
+        space, weights_mod.gamma_plus_W(odata), num)
+    if not (lo < ratio and (hi is None or ratio < hi)):
         report.inconclusive = "no order certified"
+        return report
+    report.notes["certified_orders"] = 1
+    sub = weights_mod.specialization_consistency(odata, weight_data, cw)
+    report.checked, report.violations = sub.checked, sub.violations
     return report
 
 

@@ -132,10 +132,9 @@ def table_for_system(sys, table):
 # cell action
 
 
-def cell_action_matrices_v1(sys, kl_data, cell, mu_by_sw=None):
-    """Integer generator matrices of the cell module at v_s -> 1."""
-    if mu_by_sw is None:
-        mu_by_sw = kl_data.mu_by_sw()
+def cell_action_matrices_v1(sys, cell, mu_by_sw):
+    """Integer generator matrices of the cell module at v_s -> 1;
+    ``mu_by_sw`` is the M-table's index ``KLData.mu_by_sw()``."""
     pos = {w: i for i, w in enumerate(cell)}
     n = len(cell)
     length = sys.length
@@ -187,13 +186,14 @@ def word_products(mats, words, dim):
         del stack[keep + 1:]
 
 
-def cell_character(sys, kl_data, cell, mu_by_sw=None):
+def cell_character(sys, cell, mu_by_sw):
     """Character of the W-representation carried by a left cell.
 
     Returns a list of integer values indexed by the system's conjugacy
-    classes (representatives as produced by ``sys.conjugacy_classes``).
+    classes (representatives as produced by ``sys.conjugacy_classes``);
+    ``mu_by_sw`` is as for ``cell_action_matrices_v1``.
     """
-    mats = cell_action_matrices_v1(sys, kl_data, cell, mu_by_sw)
+    mats = cell_action_matrices_v1(sys, cell, mu_by_sw)
     words = [sys.words[rep] for rep, _ in sys.conjugacy_classes()]
     trace = {word: sum(prod.diagonal().tolist())
              for word, prod in word_products(mats, words, len(cell))}
@@ -209,8 +209,7 @@ def all_cell_characters(sys, kl_data, left):
     partition at once.
     """
     mu_by_sw = kl_data.mu_by_sw()
-    chars = [cell_character(sys, kl_data, blk, mu_by_sw)
-             for blk in left.blocks]
+    chars = [cell_character(sys, blk, mu_by_sw) for blk in left.blocks]
     total = [sum(col) for col in zip(*chars)]
     expect = [sys.size] + [0] * (len(total) - 1)
     if total != expect:

@@ -386,8 +386,7 @@ def test_weight_mode_matches_specialized_order_mode(i26):
     odata = kl.compute_kl(i26, params, order)
     _, w, worder = kl.weight_params(i26, (3, 1))
     wdata = kl.compute_kl(i26, w, worder)
-    rep = weights.specialization_consistency(odata, wdata, (3, 1),
-                                             weights.gamma_plus_W(odata))
+    rep = weights.specialization_consistency(odata, wdata, (3, 1))
     assert rep.ok and rep.checked > 50
 
 
@@ -437,7 +436,7 @@ def test_specialized_tables_carry_v_w(b3):
     # verdicts and counts from it as from the weight run's own tables
     from test_weights import certified_b3_pair
 
-    odata, wdata, cw, _ = certified_b3_pair(b3)
+    odata, wdata, cw = certified_b3_pair(b3)
     image = kl.specialized(odata, cw)
     assert image.v_elem == wdata.v_elem
     for check in (kl.check_lemma_p, kl.check_lemma_m, kl.check_bounds):

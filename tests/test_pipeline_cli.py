@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from klcells import cells, cli, kl, pipeline, reps, weights
-from klcells.laurent import MonomialOrder
 
 from conftest import REFUSED_TYPES, system
 
@@ -79,47 +78,48 @@ def test_cross_check_flag(b3):
     res = pipeline.run_pipeline(cfg, sys=b3)
     rep = res.reports["cross_check"]
     assert rep.ok
-    assert rep.notes["certified_orders"] >= 1
+    assert rep.notes["certified_orders"] == 1
 
 
-@pytest.mark.parametrize("name, weight, taken", [
-    ("B3", (3, 1, 1), 47), ("B4", (5, 2, 2, 2), 383),
-    ("B4", (2, 1, 1, 1), 203)])
-def test_cross_check_second_order_equals_a_run_without_a_base(
-        monkeypatch, name, weight, taken):
-    # the tie-1 order run takes rows from the tie-0 run and equals a run
-    # without a base: rows, M-table and the order of the M-table; inside
-    # a region it takes every row (of 47 and 383), at the breakpoint
-    # b/a = 1/2 it recomputes 180
+@pytest.mark.parametrize("name, weight, certified", [
+    ("B3", (3, 1, 1), True), ("B4", (5, 2, 2, 2), True),
+    ("B4", (2, 1, 1, 1), False)])
+def test_cross_check_tiebreaks_certify_alike(monkeypatch, name, weight,
+                                            certified):
+    # the cross-check runs the tie-0 order alone: the tie-1 order is
+    # certified exactly when it is (not at the breakpoint of B4
+    # (2,1,1,1)), and where both are they have the same rows, M-table
+    # and certifying set
+    from test_weights import certifies
+
     group = system(name)
-    compute_kl, half_row = kl.compute_kl, kl._half_row
-    built, runs = set(), []
+    cw = weights.class_weights_of(group, weight)
+    num = weights.numerator_coord(group)
+    space, params = kl.class_params(group)
+    runs = [kl.compute_kl(group, params, weights.weighted_order(space, cw, t))
+            for t in (0, 1)]
+    gammas = [weights.gamma_plus_W(data) for data in runs]
+    assert [certifies(space, g, cw, num) for g in gammas] == [certified] * 2
+    if certified:
+        assert runs[0].rows == runs[1].rows
+        assert list(runs[0].mu.items()) == list(runs[1].mu.items())
+        assert gammas[0] == gammas[1]
+    orders = []
+    compute_kl = kl.compute_kl
 
-    def building(sys, rows, s, u, *args):
-        built.add(u)
-        return half_row(sys, rows, s, u, *args)
+    def counted(sys, params, order, base=None):
+        orders.append(order.functionals)
+        return compute_kl(sys, params, order, base=base)
 
-    def compared(sys, params, order, base=None):
-        built.clear()
-        data = compute_kl(sys, params, order, base=base)
-        runs.append((base is not None, sys.size - 1 - len(built)))
-        if base is not None:    # an equal row is the base's row object
-            assert all((r is b) == (r == b)
-                       for r, b in zip(data.rows[1:], base.rows[1:]))
-        plain = compute_kl(sys, params,
-                           MonomialOrder(order.space, order.functionals))
-        assert data.rows == plain.rows
-        assert list(data.mu.items()) == list(plain.mu.items())
-        return data
-
+    _, wparams, worder = kl.weight_params(group, weight)
+    weight_data = compute_kl(group, wparams, worder)
+    monkeypatch.setattr(kl, "compute_kl", counted)
     cfg = pipeline.RunConfig(system=name, weight=weight, checks=(),
                              cross_check=True)
-    _, params, order = kl.weight_params(group, weight)
-    weight_data = kl.compute_kl(group, params, order)
-    monkeypatch.setattr(kl, "_half_row", building)
-    monkeypatch.setattr(kl, "compute_kl", compared)
-    pipeline._cross_check_weight(group, cfg, weight_data)
-    assert runs == [(False, 0), (True, taken)]
+    rep = pipeline._cross_check_weight(group, cfg, weight_data)
+    assert orders == [runs[0].order.functionals]
+    assert rep.notes["certified_orders"] == int(certified)
+    assert rep.ok and bool(rep.inconclusive) != certified
 
 
 def test_cli_compute_and_dump(tmp_path, capsys):
@@ -407,7 +407,7 @@ def test_character_post_condition_exits_1(tmp_path, capsys, monkeypatch,
 def test_cell_character_past_int64_exits_1(tmp_path, capsys, monkeypatch):
     # products that could pass int64 refuse to run: one error line, exit
     # 1, and no entry
-    def huge(sys, kl_data, cell, mu_by_sw=None):
+    def huge(sys, cell, mu_by_sw):
         return [np.full((len(cell),) * 2, 1 << 40, dtype=np.int64)
                 for _ in range(sys.rank)]
 
@@ -792,8 +792,8 @@ def test_cross_check_violation_exits_1(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(weights, "specialization_consistency", violated)
     assert cli.main(["compute", "--type", "B3", "--weight", "3,1,1",
                      "--cross-check", "--out", str(tmp_path)]) == 1
-    assert "check [weight-vs-order cross-check] 2 checked, " \
-           "2 violation(s)" in capsys.readouterr().out
+    assert "check [weight-vs-order cross-check] 1 checked, " \
+           "1 violation(s)" in capsys.readouterr().out
     assert multiprocessing.active_children() == []
 
 

@@ -82,8 +82,9 @@ def test_word_products_match_the_plain_product():
     # the prefix walk against one matrix product per letter of each word
     sys, data, left = weight_run("B3", (2, 1, 1))
     words = [sys.words[rep] for rep, _ in sys.conjugacy_classes()]
+    mu_idx = data.mu_by_sw()
     for blk in left.blocks:
-        mats = reps.cell_action_matrices_v1(sys, data, blk)
+        mats = reps.cell_action_matrices_v1(sys, blk, mu_idx)
         got = list(reps.word_products(mats, words, len(blk)))
         assert [word for word, _ in got] == sorted(words)
         for word, prod in got:
@@ -127,15 +128,15 @@ def test_trivial_and_sign_cells():
         mu_idx = data.mu_by_sw()
         triv = left.blocks[left.block_of[0]]
         assert triv == (0,)
-        mats = reps.cell_action_matrices_v1(sys, data, triv, mu_idx)
+        mats = reps.cell_action_matrices_v1(sys, triv, mu_idx)
         assert not check_group_relations(sys, mats, len(triv))
-        values = reps.cell_character(sys, data, triv, mu_idx)
+        values = reps.cell_character(sys, triv, mu_idx)
         assert all(v == 1 for v in values)
         sign_cell = left.blocks[left.block_of[sys.longest]]
         assert sign_cell == (sys.longest,)
-        mats = reps.cell_action_matrices_v1(sys, data, sign_cell, mu_idx)
+        mats = reps.cell_action_matrices_v1(sys, sign_cell, mu_idx)
         assert not check_group_relations(sys, mats, len(sign_cell))
-        values = reps.cell_character(sys, data, sign_cell, mu_idx)
+        values = reps.cell_character(sys, sign_cell, mu_idx)
         reps_classes = sys.conjugacy_classes()
         assert values == [(-1) ** sys.length[rep] for rep, _ in reps_classes]
 
@@ -155,7 +156,7 @@ def test_cell_action_matrix_by_hand(i24):
     assert cell == (s_elt, ts)
     assert data.mu[0, s_elt, ts] == poly_from_terms(
         space, [((1, -1), 1), ((-1, 1), 1)])
-    mat_s, mat_t = reps.cell_action_matrices_v1(sys, data, cell)
+    mat_s, mat_t = reps.cell_action_matrices_v1(sys, cell, data.mu_by_sw())
     # T_s e_s = -v_s^-1 e_s ; T_s e_ts = v_s e_ts + M e_s (sign (-1)^1 = -1)
     assert mat_s.tolist() == [[-1, 2], [0, 1]]
     # T_t e_s = e_ts + v_t e_s ; T_t e_ts = -v_t^-1 e_ts
@@ -169,8 +170,9 @@ def test_regular_character_sum():
         sys, data, left = weight_run(name, weight)
         chars = reps.all_cell_characters(sys, data, left)
         if sys.size <= 24:
+            mu_idx = data.mu_by_sw()
             for blk in left.blocks:
-                mats = reps.cell_action_matrices_v1(sys, data, blk)
+                mats = reps.cell_action_matrices_v1(sys, blk, mu_idx)
                 assert not check_group_relations(sys, mats, len(blk))
         table = reps.load_bundled_table(table_name)
         class_map = reps.table_for_system(sys, table)

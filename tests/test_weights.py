@@ -54,21 +54,32 @@ def test_gamma_plus_dihedral_bounds(m):
         assert i >= 0 and i + j >= 0 and (i, j) != (0, 0)
 
 
-def test_check_star():
+def certifies(space, gamma, class_values, num_coord):
+    """Whether the ratio of ``class_values`` lies inside the validity
+    interval of ``gamma``: every member specializes positively there."""
+    ratio = Fraction(class_values[num_coord], class_values[1 - num_coord])
+    lo, hi, *_ = weights.validity_interval(space, gamma, num_coord)
+    return lo < ratio and (hi is None or ratio < hi)
+
+
+def test_star_condition_is_validity_interval_containment():
     space = MonomialSpace(2)
-    assert weights.check_star(space, (1, 1), set())[0]
+    assert certifies(space, set(), (1, 1), 1)
     gamma = {space.pack((1, -1)), space.pack((0, 1))}
-    assert weights.check_star(space, (2, 1), gamma)[0]
-    ok, viol = weights.check_star(space, (1, 1), gamma | {space.pack((2, -2))})
-    assert not ok and (2, -2) in viol
+    assert certifies(space, gamma, (2, 1), 1)
+    bad = gamma | {space.pack((2, -2))}
+    assert not certifies(space, bad, (1, 1), 1)
+    *_, binding_hi = weights.validity_interval(space, bad, 1)
+    assert (2, -2) in binding_hi
 
 
 def test_star_certifies_dihedral_side():
     sys, space, data, left = lex_run("I2:6")
     gamma = weights.gamma_plus_W(data)
-    assert weights.check_star(space, (2, 1), gamma)[0]      # L(s) > L(t)
-    assert not weights.check_star(space, (1, 1), gamma)[0]  # equal weights
-    assert not weights.check_star(space, (1, 2), gamma)[0]
+    num = weights.numerator_coord(sys)
+    assert certifies(space, gamma, (2, 1), num)      # L(s) > L(t)
+    assert not certifies(space, gamma, (1, 1), num)  # equal weights
+    assert not certifies(space, gamma, (1, 2), num)
 
 
 def test_validity_interval():
@@ -134,8 +145,8 @@ def test_distinguished_involutions_dihedral(m):
 
 
 def certified_b3_pair(b3):
-    """An order run of B3, a weight run inside its validity interval, the
-    class values of that weight and the order run's certifying set."""
+    """An order run of B3, a weight run inside its validity interval and
+    the class values of that weight."""
     space, params = kl.class_params(b3)
     order = lex_order(space)  # t-class dominant: certifies large ratios
     odata = kl.compute_kl(b3, params, order)
@@ -149,73 +160,81 @@ def certified_b3_pair(b3):
     cw[1 - num_coord] = r.denominator
     wt = weights.weight_from_class_values(b3, cw)
     _, w1, worder = kl.weight_params(b3, wt)
-    return odata, kl.compute_kl(b3, w1, worder), cw, gamma
+    return odata, kl.compute_kl(b3, w1, worder), cw
 
 
 def test_specialization_consistency_certified(b3):
-    odata, wdata, cw, gamma = certified_b3_pair(b3)
-    rep = weights.specialization_consistency(odata, wdata, cw, gamma)
+    odata, wdata, cw = certified_b3_pair(b3)
+    rep = weights.specialization_consistency(odata, wdata, cw)
     assert rep.ok
 
 
 def test_specialization_consistency_sees_a_changed_entry(b3):
     # the specialization is memoised per polynomial object; a replaced
     # entry is a new object, whatever objects the others share
-    odata, wdata, cw, gamma = certified_b3_pair(b3)
-    checked = weights.specialization_consistency(odata, wdata, cw,
-                                                 gamma).checked
+    odata, wdata, cw = certified_b3_pair(b3)
+    checked = weights.specialization_consistency(odata, wdata, cw).checked
     w = b3.longest
     y = next(y for y in odata.rows[w] if y != w)
     rows = [dict(r) for r in odata.rows]
     rows[w][y] = {m: 2 * c for m, c in rows[w][y].items()}
     rep = weights.specialization_consistency(replace(odata, rows=rows),
-                                             wdata, cw, gamma)
+                                             wdata, cw)
     assert rep.violations == [("P-row", b3.word_text(w))]
     assert rep.checked == checked
     key = min(odata.mu)
     mu = dict(odata.mu)
     mu[key] = {m: 2 * c for m, c in mu[key].items()}
     rep = weights.specialization_consistency(replace(odata, mu=mu),
-                                             wdata, cw, gamma)
+                                             wdata, cw)
     assert rep.violations == [("M entry", key)]
 
 
 def test_specialization_consistency_sees_sigma_kill_an_m_entry(b3):
     # an order-side M entry that sigma maps to 0, v^(b,0) - v^(0,a) under
     # class values (a, b), while the weight side has a nonzero entry there
-    odata, wdata, cw, gamma = certified_b3_pair(b3)
-    checked = weights.specialization_consistency(odata, wdata, cw,
-                                                 gamma).checked
+    odata, wdata, cw = certified_b3_pair(b3)
+    checked = weights.specialization_consistency(odata, wdata, cw).checked
     key = min(odata.mu)
     space = odata.space
     mu = {**odata.mu, key: {space.pack((cw[1], 0)): 1,
                             space.pack((0, cw[0])): -1}}
     rep = weights.specialization_consistency(replace(odata, mu=mu),
-                                             wdata, cw, gamma)
+                                             wdata, cw)
     assert rep.violations == [("sigma(M) = 0", key), ("M entry", key)]
     assert rep.checked == checked
 
 
 def test_specialization_consistency_sees_an_extra_weight_side_entry(b3):
-    odata, wdata, cw, gamma = certified_b3_pair(b3)
-    checked = weights.specialization_consistency(odata, wdata, cw,
-                                                 gamma).checked
+    odata, wdata, cw = certified_b3_pair(b3)
+    checked = weights.specialization_consistency(odata, wdata, cw).checked
     key = min(odata.mu)
     mu = {k: m for k, m in odata.mu.items() if k != key}
     rep = weights.specialization_consistency(replace(odata, mu=mu),
-                                             wdata, cw, gamma)
+                                             wdata, cw)
     assert rep.violations == [("extra weight-side M entry", key)]
     assert rep.checked == checked - 1
 
 
-def test_specialization_consistency_needs_the_star_condition(b3):
-    # the order run certifies 2 < b/a only: at b/a = 1 nothing is compared
-    odata, wdata, _, gamma = certified_b3_pair(b3)
-    ok, viol = weights.check_star(odata.space, (1, 1), gamma)
-    assert not ok and viol
-    rep = weights.specialization_consistency(odata, wdata, (1, 1), gamma)
-    assert rep.violations == [("star condition fails", viol[:5])]
-    assert rep.checked == 0
+def test_specialization_consistency_needs_the_star_condition(b3,
+                                                            monkeypatch):
+    # the cross-check compares an order run only where its certifying set
+    # specializes positively: at b/a = 3, not at the breakpoint b/a = 2
+    compared = []
+    real = weights.specialization_consistency
+
+    def counted(order_data, weight_data, coord_weights):
+        compared.append(coord_weights)
+        return real(order_data, weight_data, coord_weights)
+
+    monkeypatch.setattr(weights, "specialization_consistency", counted)
+    for weight in ((2, 1, 1), (3, 1, 1)):
+        _, params, order = kl.weight_params(b3, weight)
+        cfg = pipeline.RunConfig(system="B3", weight=weight, checks=(),
+                                 cross_check=True)
+        pipeline._cross_check_weight(b3, cfg,
+                                     kl.compute_kl(b3, params, order))
+    assert compared == [weights.class_weights_of(b3, (3, 1, 1))]
 
 
 def test_scan_dihedral():
@@ -626,9 +645,8 @@ def test_f4_pure_lex_gamma_set(f4):
     lo, hi, blo, _ = weights.validity_interval(space, gamma, 1)
     assert (lo, hi) == (Fraction(4), None)
     assert all(i + 4 * j == 0 for i, j in blo)
-    assert weights.check_star(space, (1, 5), gamma)[0]
-    ok, viol = weights.check_star(space, (1, 4), gamma)
-    assert not ok and (-4, 1) in viol
+    assert certifies(space, gamma, (1, 5), 1)
+    assert not certifies(space, gamma, (1, 4), 1) and (-4, 1) in blo
     # exponents obey the strict two-variable bound
     rep = kl.check_bounds(data)
     assert rep.ok and rep.notes["strict_bound"] == 24
@@ -652,8 +670,7 @@ def test_f4_specialization_consistency_sampled(f4):
     odata = kl.compute_kl(f4, params, order)
     _, w1, worder = kl.weight_params(f4, (1, 1, 5, 5))
     wdata = kl.compute_kl(f4, w1, worder)
-    rep = weights.specialization_consistency(
-        odata, wdata, (1, 5), weights.gamma_plus_W(odata))
+    rep = weights.specialization_consistency(odata, wdata, (1, 5))
     assert rep.ok and rep.checked > 400000
 
 
